@@ -39,6 +39,7 @@ from .pauli import (
     hs_inner,
     parse_label,
     pauli_mul,
+    phased_permutation,
     sort_strings,
     string_dense,
     to_dense,

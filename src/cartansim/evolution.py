@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ResourceLimitError, StructuralError
-from .pauli import AlgebraElement, bracket, commutes, string_dense, to_dense
+from .errors import ConfigError, DimensionError, NumericalError, ResourceLimitError, StructuralError
+from .pauli import AlgebraElement, apply_rotation, bracket, commutes, string_rotation, to_dense
 
 #: Largest matrix dimension the dense layer will touch (2^12).
 DENSE_DIM_CAP = 4096
@@ -33,8 +33,9 @@ def expm_hermitian(h: AlgebraElement | np.ndarray, t: float) -> np.ndarray:
 
     Accepts an AlgebraElement or an already-dense Hermitian matrix.
     """
-    m = to_dense(h) if isinstance(h, AlgebraElement) else np.asarray(h)
-    _check_dim(m.shape[0])
+    is_element = isinstance(h, AlgebraElement)
+    _check_dim(2**h.n if is_element else np.shape(h)[0])
+    m = to_dense(h) if is_element else np.asarray(h)
     lam, vec = np.linalg.eigh(m)
     if not np.all(np.isfinite(lam)):
         raise NumericalError("eigendecomposition returned non-finite eigenvalues")
@@ -52,6 +53,22 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def _commuting_rotations(e: AlgebraElement) -> list:
+    """(coefficient, rotation) per term; e^{-iEt} factors so only if the strings commute."""
+    terms = e.sorted_terms()
+    for (p, _), (q, _) in combinations(terms, 2):
+        if not commutes(p, q):
+            raise StructuralError(f"support is not mutually commuting: {p.label} vs {q.label}")
+    return [(c, string_rotation(p)) for p, c in terms]
+
+
+def _commuting_exp(rotations, t: float, m: np.ndarray) -> np.ndarray:
+    """e^{-iEt} M = prod_P (cos(c_P t) - i sin(c_P t) P) M, one row gather per string."""
+    for c, rotation in rotations:
+        m = apply_rotation(m, rotation, c * t)
+    return m
+
+
 def exp_element(e: AlgebraElement, t: float) -> np.ndarray:
     """e^{-iEt} for a real-weighted sum, using closed forms when terms commute.
 
@@ -59,32 +76,17 @@ def exp_element(e: AlgebraElement, t: float) -> np.ndarray:
     prod_P (cos(c_P t) I - i sin(c_P t) P); otherwise falls back to the
     eigensolver path.
     """
-    terms = e.sorted_terms()
-    dim = 2**e.n
-    _check_dim(dim)
-    if all(commutes(p, q) for (p, _), (q, _) in combinations(terms, 2)):
-        out = np.eye(dim, dtype=complex)
-        for p, c in terms:
-            out = out @ (np.cos(c * t) * np.eye(dim) - 1j * np.sin(c * t) * string_dense(p))
-        return out
-    return expm_hermitian(e, t)
+    _check_dim(2**e.n)
+    try:
+        rotations = _commuting_rotations(e)
+    except StructuralError:
+        return expm_hermitian(e, t)
+    return _commuting_exp(rotations, t, np.eye(2**e.n, dtype=complex))
 
 
 def fixed_depth_evolution(k_c: np.ndarray, h0: AlgebraElement, t: float) -> np.ndarray:
-    """U(t) = K_c^dag e^{-i h0 t} K_c with h0 on mutually commuting strings.
-
-    The commutation requirement is what the Cartan subalgebra promises;
-    violating it here means the caller's h0 is not actually diagonalizable
-    this way, so it is rejected loudly.
-    """
-    terms = h0.sorted_terms()
-    for (p, _), (q, _) in combinations(terms, 2):
-        if not commutes(p, q):
-            raise StructuralError(
-                f"h0 support is not mutually commuting: {p.label} vs {q.label}"
-            )
-    core = exp_element(h0, t)
-    return k_c.conj().T @ core @ k_c
+    """U(t) = K_c^dag e^{-i h0 t} K_c with h0 on mutually commuting strings."""
+    return k_c.conj().T @ _commuting_exp(_commuting_rotations(h0), t, k_c)
 
 
 @dataclass(frozen=True)
@@ -105,28 +107,32 @@ class ErrorCurve:
 def error_curve(
     h: AlgebraElement, k_c: np.ndarray, h0: AlgebraElement, t_grid: np.ndarray
 ) -> ErrorCurve:
-    """|| e^{-iHt} - K_c^dag e^{-i h0 t} K_c ||_2 over a time grid."""
+    """|| e^{-iHt} - K_c^dag e^{-i h0 t} K_c ||_2 over a time grid.
+
+    With H = V diag(lam) V^dag and W = K_c V, this is
+    || e^{-i lam t} - W^dag (e^{-i h0 t} W) ||_2.  Per point, e^{-i h0 t} W
+    takes |h0| exact O(dim^2) string rotations (no eigensolve of h0), then
+    one product and one spectral norm.  Even-Y H and odd-Y K are real, and
+    so are V and W.
+    """
+    dim = 2**h.n
+    _check_dim(dim)
+    k_c = np.asarray(k_c)
+    if k_c.shape != (dim, dim):
+        raise DimensionError(f"K has shape {k_c.shape}, expected ({dim}, {dim})")
+    rotations = _commuting_rotations(h0)
     m = to_dense(h)
-    lam, vec = np.linalg.eigh(m)
-    vecH = vec.conj().T
-    # pre-build the commuting-core pieces once; per-t work is then O(dim^2)
-    dim = m.shape[0]
-    h0_terms = [(c, string_dense(p)) for p, c in h0.sorted_terms()]
-    for (pi, _), (qi, _) in combinations(h0.sorted_terms(), 2):
-        if not commutes(pi, qi):
-            raise StructuralError(
-                f"h0 support is not mutually commuting: {pi.label} vs {qi.label}"
-            )
-    kdag = k_c.conj().T
+    lam, vec = np.linalg.eigh(m if m.imag.any() else m.real)
+    w = (k_c if k_c.imag.any() else k_c.real) @ vec
+    wh = w.conj().T
     ts = np.asarray(t_grid, dtype=float)
     errs = np.empty(len(ts))
-    eye = np.eye(dim)
     for i, t in enumerate(ts):
-        exact = (vec * np.exp(-1j * lam * t)) @ vecH
-        core = np.eye(dim, dtype=complex)
-        for c, pd in h0_terms:
-            core = core @ (np.cos(c * t) * eye - 1j * np.sin(c * t) * pd)
-        errs[i] = spectral_norm(exact - kdag @ core @ k_c)
+        cw = np.asarray(_commuting_exp(rotations, t, w), dtype=complex)
+        # a real W^T multiplies CW's (re, im) pairs in one real product
+        diff = wh @ cw if wh.dtype == complex else (wh @ cw.view(float)).view(complex)
+        diff.flat[:: dim + 1] -= np.exp(-1j * lam * t)
+        errs[i] = spectral_norm(diff)
     return ErrorCurve(ts, errs)
 
 

@@ -295,14 +295,13 @@ def run_error_curve(config: RunConfig, record: RunRecord | None = None) -> RunRe
     theta = np.asarray(record.theta_star, dtype=float)
     k_c = clock.run("k_dense", k_dense, ansatz, theta)
     h0 = AlgebraElement.from_records(record.h0, n=config.model.n)
-    t_grid = np.linspace(0.0, config.t_max, config.t_points)
-    curve = clock.run("error_curve", error_curve, h, k_c, h0, t_grid)
-    at_table = clock.run(
-        "error_at_table_t", error_curve, h, k_c, h0, np.array([config.table_t])
-    )
+    # one pass over the grid with table_t appended, sliced back apart
+    t_grid = np.append(np.linspace(0.0, config.t_max, config.t_points), config.table_t)
+    both = clock.run("error_curve", error_curve, h, k_c, h0, t_grid)
+    curve = ErrorCurve(both.ts[:-1], both.errors[:-1])
     record.curve_ts = [float(t) for t in curve.ts]
     record.curve_errors = [float(e) for e in curve.errors]
-    record.error_at_table_t = float(at_table.errors[0])
+    record.error_at_table_t = float(both.errors[-1])
     record.timings_ms.update(clock.timings_ms)
 
     run_dir = config.run_dir()
@@ -574,11 +573,11 @@ def verify(record_path: str | Path) -> RunRecord:
         raise NumericalError("h0 coefficients do not reproduce from theta*")
     if record.curve_ts is not None:
         k_c = k_dense(ansatz, theta)
-        fresh = error_curve(h, k_c, stored_h0, np.asarray(record.curve_ts))
-        diff = np.max(np.abs(np.asarray(fresh.errors) - np.asarray(record.curve_errors)))
+        t_grid = np.append(record.curve_ts, config.table_t)
+        fresh = error_curve(h, k_c, stored_h0, t_grid).errors
+        diff = np.max(np.abs(fresh[:-1] - np.asarray(record.curve_errors)))
         if diff > VERIFY_TOL:
             raise NumericalError(f"error curve drifts by {diff:.3e} > {VERIFY_TOL}")
-        at_table = error_curve(h, k_c, stored_h0, np.array([config.table_t]))
-        if abs(at_table.errors[0] - record.error_at_table_t) > VERIFY_TOL:
+        if abs(fresh[-1] - record.error_at_table_t) > VERIFY_TOL:
             raise NumericalError("error at table_t does not reproduce")
     return record

@@ -39,9 +39,10 @@ from .pauli import (
     DENSE_QUBIT_CAP,
     AlgebraElement,
     PauliString,
+    apply_rotation,
     bracket,
     bracket_strings,
-    string_dense,
+    string_rotation,
 )
 
 #: Nested-commutator coefficients of the scalar Zassenhaus expansion
@@ -266,10 +267,11 @@ def conjugate_by_factor(
 def _split(factor: Factor) -> list[tuple[PauliString, float]]:
     """Single-string subfactors of a factor, in canonical term order.
 
-    Multi-string generators (possible at orders 3-4) become a product of
-    single-string rotations; the splitting error is a bracket of two terms
-    already above the truncation order.  Every evaluation path (adjoint,
-    dense, compiled) must use this same ordering.
+    A nonzero nested bracket of Pauli strings is a scalar times one string
+    (the XOR of its arguments), and C4's four brackets share that string, so
+    every generator built here has exactly one term.  Every evaluation path
+    (adjoint, dense, compiled) iterates this list, so all of them agree on
+    the order for any generator.
     """
     return factor.generator.sorted_terms()
 
@@ -309,8 +311,9 @@ def adjoint_K(
 def k_dense(ansatz: Ansatz, theta: np.ndarray, qubit_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """Materialize K(theta) as a dense unitary.
 
-    Each single-string subfactor has the closed form
-    exp(i c P) = cos(c) I + i sin(c) P, multiplied in factor order.
+    Each factor exp(i c P) = cos(c) I + i sin(c) P is applied to the left of
+    the running matrix, last factor first, as an O(dim^2) row gather.  Odd-Y
+    strings (all of k) keep the work in real arithmetic.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ansatz.parameter_count,):
@@ -319,11 +322,12 @@ def k_dense(ansatz: Ansatz, theta: np.ndarray, qubit_cap: int = DENSE_QUBIT_CAP)
         )
     if ansatz.n > qubit_cap:
         raise ResourceLimitError(f"dense K at {ansatz.n} qubits exceeds cap {qubit_cap}")
-    dim = 2**ansatz.n
-    out = np.eye(dim, dtype=complex)
-    for f in ansatz.factors:
+    out = np.eye(2**ansatz.n)
+    rotations: dict[PauliString, tuple[np.ndarray, np.ndarray]] = {}
+    for f in reversed(ansatz.factors):
         c = f.coeff(theta)
-        for p, w in _split(f):
-            phi = c * w
-            out = out @ (np.cos(phi) * np.eye(dim) + 1j * np.sin(phi) * string_dense(p))
-    return out
+        for p, w in reversed(_split(f)):
+            if p not in rotations:
+                rotations[p] = string_rotation(p)
+            out = apply_rotation(out, rotations[p], -c * w)
+    return out.astype(complex)

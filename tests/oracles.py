@@ -88,3 +88,34 @@ def closure_dim(labels: list[str], tol: float = 1e-8) -> int:
         mats.extend(fresh)
         frontier = fresh
     return len(basis)
+
+
+def k_dense_oracle(ansatz, theta) -> np.ndarray:
+    """K(theta) as the plain matmul product of cos(c) I + i sin(c) P over the
+    factors' generator terms, each P a kron of site matrices."""
+    dim = 2**ansatz.n
+    out = np.eye(dim, dtype=complex)
+    for f in ansatz.factors:
+        c = f.coeff(theta)
+        for p, w in f.generator.sorted_terms():
+            phi = c * w
+            out = out @ (np.cos(phi) * np.eye(dim) + 1j * np.sin(phi) * label_matrix(p.label))
+    return out
+
+
+def error_curve_oracle(h_labels: dict[str, float], k_c, h0_labels: dict[str, float], t_grid) -> np.ndarray:
+    """||e^{-iHt} - K^dag e^{-i h0 t} K||_2 per t: complex eigh of H, the h0
+    core as a matmul product of cos/sin factors, the norm from eigvalsh."""
+    lam, vec = np.linalg.eigh(dense_sum(h_labels))
+    dim = len(lam)
+    h0_mats = [(c, label_matrix(lbl)) for lbl, c in h0_labels.items()]
+    kdag = k_c.conj().T
+    errs = []
+    for t in np.asarray(t_grid, dtype=float):
+        exact = (vec * np.exp(-1j * lam * t)) @ vec.conj().T
+        core = np.eye(dim, dtype=complex)
+        for c, pd in h0_mats:
+            core = core @ (np.cos(c * t) * np.eye(dim) - 1j * np.sin(c * t) * pd)
+        diff = exact - kdag @ core @ k_c
+        errs.append(float(np.sqrt(max(np.linalg.eigvalsh(diff.conj().T @ diff)[-1], 0.0))))
+    return np.asarray(errs)

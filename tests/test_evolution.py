@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,15 +7,22 @@ import scipy.linalg
 from cartansim import (
     AlgebraElement,
     ConfigError,
+    DimensionError,
+    ModelSpec,
     ResourceLimitError,
+    RunConfig,
     StructuralError,
     build_ansatz,
+    build_model,
     cartan_split,
     error_curve,
+    evolution,
     expm_hermitian,
     fixed_depth_evolution,
     generate_dla,
     k_dense,
+    parse_label,
+    run_decompose,
     spectral_norm,
     to_dense,
     trotter_step,
@@ -22,7 +31,7 @@ from cartansim import (
     zassenhaus_product,
 )
 from cartansim.evolution import DEFAULT_S_GRID, ErrorCurve, exp_element
-from oracles import dense_sum, power_norm, random_label
+from oracles import dense_sum, error_curve_oracle, power_norm, random_label
 
 
 def random_element(rng, n, k=3):
@@ -211,6 +220,64 @@ def test_error_curve_matches_direct_norms():
         assert err == pytest.approx(power_norm(exact - approx), rel=1e-8, abs=1e-12)
 
 
+def model_split(name, n):
+    h = build_model(ModelSpec(name, n))
+    terms = [p for p, _ in h.sorted_terms()]
+    return h, cartan_split(generate_dla(terms), terms)
+
+
+def labels(e):
+    return {p.label: c for p, c in e.items()}
+
+
+ORACLE_TS = np.array([0.0, 0.37, 20.0, 123.4, 200.0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("name", ["tfim", "xy"])
+def test_error_curve_matches_matmul_oracle(name, n):
+    # a generic K over the k-basis and a generic h0 over the Cartan subalgebra
+    rng = np.random.default_rng(10 * n + len(name))
+    h, split = model_split(name, n)
+    ansatz = build_ansatz(split.k_basis, order=1)
+    kc = k_dense(ansatz, rng.uniform(-1, 1, size=ansatz.parameter_count))
+    h0 = AlgebraElement(n, {p: float(rng.normal()) for p in split.h_basis})
+    got = error_curve(h, kc, h0, ORACLE_TS).errors
+    want = error_curve_oracle(labels(h), kc, labels(h0), ORACLE_TS)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["tfim", "xy"])
+def test_error_curve_matches_matmul_oracle_at_the_floor(name, tmp_path):
+    # a found decomposition: every error is round-off, up to t = 200
+    config = RunConfig(model=ModelSpec(name, 4), order=1, output_dir=str(tmp_path))
+    record = run_decompose(config, persist=False)
+    h, split = model_split(name, 4)
+    kc = k_dense(build_ansatz(split.k_basis, order=1), np.asarray(record.theta_star))
+    h0 = AlgebraElement.from_records(record.h0, n=4)
+    got = error_curve(h, kc, h0, ORACLE_TS).errors
+    want = error_curve_oracle(labels(h), kc, labels(h0), ORACLE_TS)
+    assert got.max() < 1e-11
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_error_curve_matches_matmul_oracle_off_the_real_path():
+    # odd-Y terms make H complex and a generic K is complex unitary
+    rng = np.random.default_rng(77)
+    h = AlgebraElement.from_label_dict({"XYZ": 0.7, "ZZI": -0.4, "IYX": 0.9, "XXX": 0.3})
+    kc = expm_hermitian(random_element(rng, 3, k=5), 1.3)
+    h0 = AlgebraElement.from_label_dict({"ZZI": 0.5, "XXI": -0.8, "YYI": 0.2, "IIZ": 1.1})
+    got = error_curve(h, kc, h0, ORACLE_TS).errors
+    want = error_curve_oracle(labels(h), kc, labels(h0), ORACLE_TS)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_error_curve_rejects_mismatched_k():
+    h, split = tfim2_decomposition()
+    with pytest.raises(DimensionError):
+        error_curve(h, np.eye(2, dtype=complex), h, np.array([1.0]))
+
+
 # ---------------------------------------------------------- truncated product
 
 def XZ_pair():
@@ -356,8 +423,32 @@ def test_trotter_sweep_record():
 # ------------------------------------------------------------------- guards
 
 def test_dense_cap_enforced():
-    with pytest.raises(ResourceLimitError):
-        spectral_norm(np.eye(8192))
+    with pytest.raises(ResourceLimitError):  # a zero-stride view: no 512 MiB matrix
+        spectral_norm(np.broadcast_to(0.0, (8192, 8192)))
+
+
+def test_dense_cap_raised_before_allocation(monkeypatch):
+    # a dim-1024 float matrix alone is 8 MiB; nothing of that size may be built
+    monkeypatch.setattr(evolution, "DENSE_DIM_CAP", 2**9)
+    h = AlgebraElement.from_label_dict({"X" * 10: 1.0})
+    kc = np.broadcast_to(np.complex128(0), (1024, 1024))
+    ansatz = build_ansatz([parse_label("Y" + "X" * 11)], order=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            error_curve(h, kc, h, np.array([1.0]))
+        with pytest.raises(ResourceLimitError):
+            exp_element(h, 1.0)
+        with pytest.raises(ResourceLimitError):
+            expm_hermitian(h, 1.0)
+        with pytest.raises(ResourceLimitError):
+            k_dense(ansatz, np.zeros(1), qubit_cap=11)
+        with pytest.raises(ResourceLimitError):
+            to_dense(h, qubit_cap=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_product_cap_enforced():

@@ -1,5 +1,7 @@
 """String algebra against dense-matrix oracles and hand-frozen cases."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from cartansim.pauli import (
     identity_string,
     parse_label,
     pauli_mul,
+    phased_permutation,
     sort_strings,
     string_dense,
     to_dense,
@@ -196,6 +199,42 @@ def test_to_dense_respects_cap():
     a = AlgebraElement.from_label_dict({"XXX": 1.0})
     with pytest.raises(ResourceLimitError):
         to_dense(a, qubit_cap=2)
+
+
+def _oracle_labels():
+    """All 4^n labels for n <= 3, then 200 random labels at n = 7."""
+    labels = ["".join(t) for n in (1, 2, 3) for t in product("IXYZ", repeat=n)]
+    rng = np.random.default_rng(404)
+    return labels + [random_label(rng, 7, nontrivial=False) for _ in range(200)]
+
+
+def test_string_dense_equals_kron_oracle_exactly():
+    for lbl in _oracle_labels():
+        got = string_dense(parse_label(lbl))
+        assert got.dtype == complex and np.array_equal(got, label_matrix(lbl)), lbl
+
+
+def test_to_dense_equals_kron_oracle_exactly():
+    labels = _oracle_labels()
+    rng = np.random.default_rng(405)
+    sums = [{lbl: float(rng.normal())} for lbl in labels]
+    for n in (1, 2, 3):  # every string of n sites in one sum
+        sums.append({lbl: float(rng.normal()) for lbl in labels if len(lbl) == n})
+    big = labels[-200:]  # the n = 7 labels
+    sums += [{lbl: float(rng.normal()) for lbl in big[i : i + 4]} for i in range(0, 200, 4)]
+    for terms in sums:
+        got = to_dense(AlgebraElement.from_label_dict(terms))
+        assert np.array_equal(got, dense_sum(terms)), terms
+
+
+def test_phased_permutation_layout():
+    for lbl in ("XYZI", "YYXZ", "ZIZY", "IIII"):
+        rows, phase = phased_permutation(parse_label(lbl))
+        cols = np.arange(16)
+        assert np.array_equal(np.sort(rows), cols)
+        assert np.array_equal(rows[rows], cols)  # an involution
+        assert set(np.round(phase, 12).tolist()) <= {1, -1, 1j, -1j}
+        assert np.array_equal(label_matrix(lbl)[rows, cols], phase)
 
 
 def test_string_dense_site_order():

@@ -6,7 +6,8 @@ import scipy.linalg
 
 from cartansim.adjoint import CompiledAdjoint
 from cartansim.errors import ConfigError, DimensionError, ResourceLimitError, StructuralError
-from cartansim.lie import generate_dla
+from cartansim.lie import cartan_split, generate_dla
+from cartansim.models import build_model, default_benchmark_specs
 from cartansim.pauli import AlgebraElement, parse_label, sort_strings, string_dense, to_dense
 from cartansim.zassenhaus import (
     adjoint_K,
@@ -16,7 +17,7 @@ from cartansim.zassenhaus import (
     truncation_coefficients,
 )
 
-from oracles import random_label
+from oracles import k_dense_oracle, random_label
 
 
 def strs(*labels):
@@ -258,6 +259,28 @@ def test_k_dense_unitary_and_matches_expm_oracle(order):
             u = k_dense(ansatz, theta)
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-10
             assert np.max(np.abs(u - dense_k_oracle(ansatz, theta))) < 1e-10
+
+
+GRID_SPECS = default_benchmark_specs()
+
+
+@pytest.fixture(scope="module")
+def grid_k_bases():
+    bases = {}
+    for spec in GRID_SPECS:
+        terms = [p for p, _ in build_model(spec).sorted_terms()]
+        bases[spec.name] = cartan_split(generate_dla(terms), terms).k_basis
+    return bases
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", [spec.name for spec in GRID_SPECS])
+def test_k_dense_matches_matmul_oracle_on_grid_models(grid_k_bases, name, order):
+    ansatz = build_ansatz(grid_k_bases[name], order=order)
+    theta = np.random.default_rng(order).uniform(-1.2, 1.2, size=ansatz.parameter_count)
+    u = k_dense(ansatz, theta)
+    assert u.dtype == complex
+    assert np.max(np.abs(u - k_dense_oracle(ansatz, theta))) < 1e-13
 
 
 def test_k_dense_respects_cap():
