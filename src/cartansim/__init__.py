@@ -73,7 +73,6 @@ from .optimize import (
     bfgs_minimize,
     cost,
     extract_h0,
-    gradient,
     initial_theta,
     make_cost_functions,
     make_target_v,

@@ -15,10 +15,28 @@ search.  Here the same computation is compiled once per (ansatz, basis):
 
   with dir = +1 for the K^dag E K orientation (and the a<->b pairing a
   permutation of the anticommuting index set, so the scatter is exact);
-* the gradient walks the factor sequence backwards, undoing rotations to
-  recover intermediate states in O(dim) memory: with R(phi) = exp(phi A),
-  d f / d phi = <A E_t, B_t> where E_t is the forward state after the
-  rotation and B_t the cost vector pulled back through later rotations.
+* the gradient runs the rotations backwards from the forward sweep's final
+  state, undoing each one in turn: with R(phi) = exp(phi A),
+  d f / d phi = <A E_t, B_t>, where E_t is the forward state after rotation
+  t and B_t the cost vector pulled back through the later rotations.  No
+  per-step state is stored, so memory stays O(dim) per point;
+* a caller that has just run the forward sweep at theta (``conjugate``)
+  passes its result as ``forward=`` and ``cost_and_grad`` runs only the
+  backward sweep;
+* the backward sweep of one point carries E and B as the two rows of one
+  (2, dim) array, so each step is one gather, one rotation and one
+  scatter for both, through flat indices precomputed per edge block;
+* a batch of L points, theta of shape (L, m), runs both sweeps over lanes:
+  the state is (dim, 2L), basis index first, so a step gathers and
+  scatters whole rows of lanes.  This is how the polish Hessian gets its
+  2m differenced gradients in one pass;
+* every dot product is BLAS ddot over two contiguous vectors, as a point
+  run alone gets it: the lane batch copies its transposed rows out first,
+  and numpy's stacked matmul of (1, k) by (k, 1) calls ddot per lane.
+  On strided rows ddot adds in another order and changes the last bit of
+  most gradient entries.  Edge signs are exactly +-1 and 2^n a power of
+  two, so where those multiplies happen is exact; no other product is
+  regrouped.
 
 Everything here must agree with adjoint_K to round-off; the tests assert it.
 """
@@ -63,6 +81,14 @@ class CompiledAdjoint:
         self.sub_edge = np.asarray(sub_edge, dtype=np.intp)
         self.sub_weight = np.asarray(sub_weight, dtype=float)
         self.sub_factor = np.asarray(sub_factor, dtype=np.intp)
+        # hot-loop forms of each edge block: conjugate gathers qa and qb of
+        # its vector at once, the backward sweep those of both its rows
+        dim = len(self.basis)
+        self._gathers = [(np.concatenate([qa, qb]), qb, sgn) for qa, qb, sgn in self._edges]
+        self._pair_gathers = [
+            (np.concatenate([qa, qa + dim, qb, qb + dim]), np.concatenate([qb, qb + dim]), sgn)
+            for qa, qb, sgn in self._edges
+        ]
 
         # factor monomials, padded to fixed width for vector evaluation
         m = len(ansatz.factors)
@@ -127,60 +153,133 @@ class CompiledAdjoint:
 
     def conjugate(self, theta: np.ndarray, v: np.ndarray, side: str = "kdag_e_k") -> np.ndarray:
         """Apply the full rotation program to a coefficient vector."""
+        if side not in ("kdag_e_k", "k_e_kdag"):
+            raise StructuralError(f"unknown side {side!r}")
         phi = self._angles(theta)
         out = np.array(v, dtype=float, copy=True)
-        if side == "kdag_e_k":
-            order, direction = range(len(phi)), 1.0
-        elif side == "k_e_kdag":
-            order, direction = range(len(phi) - 1, -1, -1), -1.0
-        else:
-            raise StructuralError(f"unknown side {side!r}")
-        c2 = np.cos(2 * phi)
-        s2 = direction * np.sin(2 * phi)
-        for t in order:
-            qa, qb, sgn = self._edges[self.sub_edge[t]]
-            va = out[qa]
-            out[qb] = c2[t] * out[qb] + s2[t] * (sgn * va)
+        direction = 1.0 if side == "kdag_e_k" else -1.0
+        c2 = np.cos(2 * phi).tolist()
+        s2 = (direction * np.sin(2 * phi)).tolist()
+        steps = list(zip(self.sub_edge.tolist(), c2, s2))
+        if side == "k_e_kdag":
+            steps.reverse()
+        # v[qb] <- c v[qb] + s (sgn v[qa]), in place on one gather of both
+        for j, c, s in steps:
+            qab, qb, sgn = self._gathers[j]
+            x = out[qab]
+            va, vb = x[: len(sgn)], x[len(sgn) :]
+            va *= sgn
+            va *= s
+            vb *= c
+            vb += va
+            out[qb] = vb
         return out
+
+    def trace(self, e: np.ndarray, h: np.ndarray) -> float:
+        """tr(E H) = 2^n <e, h> for two elements given as coefficient vectors."""
+        return float(2**self.n * (e @ h))
 
     def cost(self, theta: np.ndarray, v: np.ndarray, h: np.ndarray) -> float:
         """f = tr((K^dag V K) H) = 2^n <conjugated v, h>."""
-        e = self.conjugate(theta, v, "kdag_e_k")
-        return float(2**self.n * (e @ h))
+        return self.trace(self.conjugate(theta, v, "kdag_e_k"), h)
 
-    def cost_and_grad(self, theta: np.ndarray, v: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
-        """Cost and its exact gradient in one forward + one backward sweep."""
+    def cost_and_grad(
+        self, theta: np.ndarray, v: np.ndarray, h: np.ndarray, forward: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray]:
+        """Cost and its exact gradient in one forward + one backward sweep.
+
+        ``theta`` is one point, shape (m,), or L points, shape (L, m), run as
+        lanes of the same sweeps; the cost and gradient then have shapes
+        (L,) and (L, m).  ``forward`` may carry ``conjugate(theta, v)`` for
+        this same single theta and v; the forward sweep is then skipped.
+        Either way each point gets exactly the floats it gets alone.
+        """
         theta = np.asarray(theta, dtype=float)
-        phi = self._angles(theta)
-        tcount = len(phi)
-        scale = float(2**self.n)
+        points = theta[None] if theta.ndim == 1 else theta
+        if points.ndim != 2 or not len(points):
+            raise DimensionError(f"theta has shape {theta.shape}, expected (m,) or (L, m), L > 0")
+        if forward is not None and theta.ndim != 1:
+            raise DimensionError("a reused forward state belongs to a single theta")
+        tcount = len(self.sub_edge)
+        if theta.ndim == 1:
+            phi = self._angles(theta)
+            e = self.conjugate(theta, v) if forward is None else np.asarray(forward, dtype=float)
+            grad = np.zeros_like(theta)
+            if tcount and theta.size:
+                grad = self._theta_grad(theta, self._backward(e, h, np.cos(2 * phi), np.sin(2 * phi)))
+            return self.trace(e, h), grad
 
-        e = np.array(v, dtype=float, copy=True)
-        c2 = np.cos(2 * phi)
-        s2 = np.sin(2 * phi)
-        for t in range(tcount):
-            qa, qb, sgn = self._edges[self.sub_edge[t]]
-            va = e[qa]
-            e[qb] = c2[t] * e[qb] + s2[t] * (sgn * va)
-        f = scale * float(e @ h)
-        grad = np.zeros_like(theta)
-        if tcount == 0 or theta.size == 0:
-            return f, grad
+        c2 = np.empty((tcount, len(points)))  # (step, lane)
+        s2 = np.empty_like(c2)
+        for lane, th in enumerate(points):
+            phi = self._angles(th)
+            c2[:, lane] = np.cos(2 * phi)
+            s2[:, lane] = np.sin(2 * phi)
+        e = self._forward_lanes(v, c2, s2)
+        grad = np.zeros_like(points)
+        if tcount and points.shape[1]:
+            gsub = self._backward_lanes(e, h, c2, s2)
+            grad[:] = [self._theta_grad(th, g) for th, g in zip(points, gsub.T)]
+        return np.array([self.trace(row, h) for row in e.T.copy()]), grad
 
-        # backward sweep: recover E_{t-1} and pull h back, reading off
+    def _backward(self, e: np.ndarray, h: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+        """d f / d phi_t at one point, undoing every step on E and B together."""
+        st = np.concatenate([e, h])  # rows E and B of a (2, dim) array
+        gsub = []
+        for j, c, s in zip(self.sub_edge[::-1].tolist(), c2[::-1].tolist(), s2[::-1].tolist()):
+            iab, ib, sgn = self._pair_gathers[j]
+            x = st[iab].reshape(4, -1)  # rows sgn E[qa], sgn B[qa], E[qb], B[qb]
+            xa, xb = x[:2], x[2:]
+            xa *= sgn
+            gsub.append(np.dot(x[0], x[3]))
+            xb *= c
+            xa *= s
+            xb -= xa
+            st[ib] = xb.reshape(-1)
         # d f / d phi_t = 2^n * 2 * sum sgn * E_t[qa] * B_t[qb]
-        b = np.array(h, dtype=float, copy=True)
-        gsub = np.empty(tcount)
-        for t in range(tcount - 1, -1, -1):
-            qa, qb, sgn = self._edges[self.sub_edge[t]]
-            gsub[t] = 2.0 * float(np.dot(sgn * e[qa], b[qb]))
-            # inverse rotation on both running vectors
-            va = e[qa]
-            e[qb] = c2[t] * e[qb] - s2[t] * (sgn * va)
-            wa = b[qa]
-            b[qb] = c2[t] * b[qb] - s2[t] * (sgn * wa)
-        gsub *= scale
+        return np.array(gsub[::-1]) * (2.0 * float(2**self.n))
 
+    def _forward_lanes(self, v: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+        """K^dag V K for every lane (column) of c2/s2, as a (dim, L) array."""
+        e = np.repeat(np.asarray(v, dtype=float)[:, None], c2.shape[1], axis=1)
+        for t in range(len(self.sub_edge)):
+            qa, qb, sgn = self._edges[self.sub_edge[t]]
+            xa = e.take(qa, axis=0)
+            xa *= sgn[:, None]
+            xb = e.take(qb, axis=0)
+            xb *= c2[t]
+            xa *= s2[t]
+            xb += xa
+            e[qb] = xb
+        return e
+
+    def _backward_lanes(self, e: np.ndarray, h: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+        """_backward for L points at once: (step, lane) derivatives.
+
+        Columns :L of the state are the points' E, columns L: their B.
+        """
+        lanes = e.shape[1]
+        st = np.concatenate([e, np.repeat(h[:, None], lanes, axis=1)], axis=1)
+        gsub = np.empty((len(self.sub_edge), lanes))
+        for t in range(len(self.sub_edge) - 1, -1, -1):
+            qa, qb, sgn = self._edges[self.sub_edge[t]]
+            xa = st.take(qa, axis=0)
+            xa *= sgn[:, None]
+            xb = st.take(qb, axis=0)
+            a, b = xa[:, :lanes].T.copy(), xb[:, lanes:].T.copy()
+            gsub[t] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]  # one ddot per lane
+            # E and B halves as (k, 2, L), so lane l's cos/sin reaches both
+            xa, xb = xa.reshape(-1, 2, lanes), xb.reshape(-1, 2, lanes)
+            xb *= c2[t]
+            xa *= s2[t]
+            xb -= xa
+            st[qb] = xb.reshape(-1, 2 * lanes)
+        gsub *= 2.0 * float(2**self.n)
+        return gsub
+
+    def _theta_grad(self, theta: np.ndarray, gsub: np.ndarray) -> np.ndarray:
+        """Chain d f / d phi_t through the factor monomials to d f / d theta."""
+        grad = np.zeros_like(theta)
         # d phi_t / d theta = w_t * d c_{factor(t)} / d theta; fold the
         # per-subfactor pieces into per-factor weights first
         gfac = np.bincount(
@@ -200,4 +299,4 @@ class CompiledAdjoint:
                     pw > 0, pw * np.power(tx[:, s], np.maximum(pw - 1, 0.0)) * others, 0.0
                 )
             np.add.at(grad, self.m_idx[:, s], gfac * dphi)
-        return f, grad
+        return grad

@@ -202,6 +202,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         f"final_cost={record.final_cost:.9g} grad_inf={record.final_grad_inf:.3e}"
     )
     print(f"residual_fro={record.residual_fro:.6e} relative={record.residual_rel:.6e}")
+    print("optimizer: " + " ".join(f"{k}={v}" for k, v in record.optimizer_counters.items()))
     print(f"record: {config.run_dir() / 'record.json'}")
     return 0
 

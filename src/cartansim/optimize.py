@@ -12,14 +12,13 @@ Frobenius residual, never silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .adjoint import CompiledAdjoint
 from .errors import ConfigError, NumericalError, StagnationError, StructuralError
-from .lie import generate_dla
 from .pauli import AlgebraElement, PauliString, hs_inner, sort_strings
 from .zassenhaus import Ansatz, adjoint_K
 
@@ -79,6 +78,23 @@ class OptimizerOptions:
             raise ConfigError("multi_start must be at least 1")
 
 
+#: What a minimization did, counted by bfgs_minimize and summed over starts
+#: by optimize_theta.  grad_evals includes the 2m gradients of every polish
+#: Hessian; forward_reuses counts gradients asked for at exactly the point of
+#: the cost evaluation just before, which the closures of make_cost_functions
+#: answer from that evaluation's forward sweep.  Every polish attempt builds
+#: one Hessian; metric resets put the inverse Hessian back to the identity.
+COUNTERS = (
+    "cost_evals",
+    "grad_evals",
+    "forward_reuses",
+    "hessian_builds",
+    "polish_attempts",
+    "polish_failures",
+    "metric_resets",
+)
+
+
 @dataclass
 class OptimizationResult:
     theta_star: np.ndarray
@@ -86,6 +102,7 @@ class OptimizationResult:
     converged: bool
     h0: AlgebraElement | None = None
     residual_fro: float | None = None
+    counters: dict[str, int] = field(default_factory=lambda: dict.fromkeys(COUNTERS, 0))
 
     @property
     def iterations(self) -> int:
@@ -116,13 +133,6 @@ def cost(ansatz: Ansatz, theta: np.ndarray, v: TargetV | AlgebraElement, h: Alge
     return hs_inner(adjoint_K(ansatz, theta, ve, side="kdag_e_k"), h)
 
 
-def _closure_basis(ansatz: Ansatz, *elements: AlgebraElement):
-    seeds = list(ansatz.k_basis)
-    for e in elements:
-        seeds.extend(p for p, _ in e.items())
-    return generate_dla(sort_strings(set(seeds))).strings
-
-
 def fd_gradient(cost_fn: Callable[[np.ndarray], float], theta: np.ndarray, step: float) -> np.ndarray:
     """Central finite differences, one coordinate at a time."""
     theta = np.asarray(theta, dtype=float)
@@ -136,28 +146,6 @@ def fd_gradient(cost_fn: Callable[[np.ndarray], float], theta: np.ndarray, step:
     return g
 
 
-def gradient(
-    ansatz: Ansatz,
-    theta: np.ndarray,
-    v: TargetV | AlgebraElement,
-    h: AlgebraElement,
-    options: OptimizerOptions | None = None,
-) -> np.ndarray:
-    """Gradient of the trace cost, analytic by default.
-
-    The analytic path compiles the adjoint over the bracket closure of
-    (k-basis, v, H) and differentiates each factor's rotation angle in
-    closed form; the fd path takes central differences of the reference
-    cost.  Both agree to ~1e-6 by the acceptance gradient check.
-    """
-    options = options or OptimizerOptions()
-    ve = v.element if isinstance(v, TargetV) else v
-    if options.grad_mode == "fd":
-        return fd_gradient(lambda th: cost(ansatz, th, ve, h), np.asarray(theta, float), options.fd_step)
-    engine = CompiledAdjoint(ansatz, _closure_basis(ansatz, ve, h))
-    return engine.cost_and_grad(np.asarray(theta, float), engine.vector(ve), engine.vector(h))[1]
-
-
 def make_cost_functions(
     ansatz: Ansatz,
     basis: Sequence[PauliString],
@@ -165,20 +153,39 @@ def make_cost_functions(
     h: AlgebraElement,
     options: OptimizerOptions,
 ) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray], CompiledAdjoint]:
-    """Engine-backed cost/grad closures over a fixed closed basis."""
+    """Engine-backed cost/grad closures over a fixed closed basis.
+
+    cost_fn keeps the forward sweep of the last point it evaluated, and an
+    analytic grad_fn at exactly that point (bit for bit) reuses it and runs
+    only the backward sweep.  The minimizer asks for the gradient right
+    after the cost at every accepted step and polish point.  The analytic
+    grad_fn also carries ``lanes``: gradients at the rows of an (L, m)
+    array from one lane sweep, which the polish Hessian uses.
+    """
     engine = CompiledAdjoint(ansatz, basis)
     v_vec = engine.vector(v.element)
     h_vec = engine.vector(h)
+    last: list = [None, None]  # the last cost point (a copy) and its forward state
 
     def cost_fn(theta: np.ndarray) -> float:
-        return engine.cost(theta, v_vec, h_vec)
+        theta = np.asarray(theta, dtype=float)
+        e = engine.conjugate(theta, v_vec)
+        last[:] = theta.copy(), e
+        return engine.trace(e, h_vec)
 
     if options.grad_mode == "fd":
         def grad_fn(theta: np.ndarray) -> np.ndarray:
             return fd_gradient(cost_fn, theta, options.fd_step)
     else:
         def grad_fn(theta: np.ndarray) -> np.ndarray:
-            return engine.cost_and_grad(theta, v_vec, h_vec)[1]
+            theta = np.asarray(theta, dtype=float)
+            point, state = last
+            same = point is not None and point.shape == theta.shape
+            if not (same and point.tobytes() == theta.tobytes()):
+                state = None  # not the last cost point, bit for bit: sweep forward again
+            return engine.cost_and_grad(theta, v_vec, h_vec, state)[1]
+
+        grad_fn.lanes = lambda points: engine.cost_and_grad(points, v_vec, h_vec)[1]
 
     return cost_fn, grad_fn, engine
 
@@ -208,17 +215,23 @@ def _line_search(cost_fn, theta, f, g, p, options) -> tuple[float, np.ndarray, f
 
 
 def _fd_hessian(grad_fn, theta, step):
-    """Symmetrized central differences of the gradient."""
+    """Symmetrized central differences of the gradient.
+
+    The 2m gradients at theta +- step e_i come from one call of
+    ``grad_fn.lanes`` where the closure has it, else from one call each.
+    """
     m = theta.size
-    h = np.empty((m, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = step
-        h[:, i] = (np.asarray(grad_fn(theta + e), float) - np.asarray(grad_fn(theta - e), float)) / (2.0 * step)
+    points = [p for e in np.eye(m) * step for p in (theta + e, theta - e)]
+    lanes = getattr(grad_fn, "lanes", None)
+    if lanes is not None and m:
+        grads = lanes(np.array(points))
+    else:
+        grads = np.array([np.asarray(grad_fn(p), float) for p in points]).reshape(2 * m, m)
+    h = ((grads[0::2] - grads[1::2]) / (2.0 * step)).T
     return 0.5 * (h + h.T)
 
 
-def _newton_polish(cost_fn, grad_fn, theta, f, g, options):
+def _newton_polish(cost_fn, grad_fn, theta, f, g, options, counters):
     """One terminal-phase step accepted on gradient-norm decrease.
 
     Near a stationary point the cost goes flat at double resolution while the
@@ -229,8 +242,11 @@ def _newton_polish(cost_fn, grad_fn, theta, f, g, options):
     the curvature signs), falling back to the plain ||grad||^2 gradient; the
     cost is only allowed to wobble by rounding, never to genuinely rise.
     """
+    counters["polish_attempts"] += 1
+    counters["hessian_builds"] += 1
     hess = _fd_hessian(grad_fn, theta, 1e-6)
     if not np.all(np.isfinite(hess)):
+        counters["polish_failures"] += 1
         return None
     lam, vec = np.linalg.eigh(hess)
     mu = (1e-8 * max(1.0, float(np.max(np.abs(lam), initial=0.0)))) ** 2
@@ -247,7 +263,33 @@ def _newton_polish(cost_fn, grad_fn, theta, f, g, options):
                 if np.all(np.isfinite(g_new)) and float(np.linalg.norm(g_new)) <= 0.99 * gnorm:
                     return theta_new, float(f_new), g_new
             alpha *= options.backtrack_rho
+    counters["polish_failures"] += 1
     return None
+
+
+def _counted(cost_fn, grad_fn, counters):
+    """cost_fn and grad_fn as the minimizer calls them, tallied in counters."""
+    last = [None]  # bytes of the last cost point
+
+    def cost(theta):
+        counters["cost_evals"] += 1
+        last[0] = np.asarray(theta, dtype=float).tobytes()
+        return cost_fn(theta)
+
+    def grad(theta):
+        counters["grad_evals"] += 1
+        if np.asarray(theta, dtype=float).tobytes() == last[0]:
+            counters["forward_reuses"] += 1
+        return grad_fn(theta)
+
+    lanes = getattr(grad_fn, "lanes", None)
+    if lanes is not None:
+        def grad_lanes(points):
+            counters["grad_evals"] += len(points)
+            return lanes(points)
+
+        grad.lanes = grad_lanes
+    return cost, grad
 
 
 def _wolfe_search(cost_fn, grad_fn, theta, f, g, p, options):
@@ -293,17 +335,20 @@ def bfgs_minimize(
 
     Raises NumericalError on non-finite values (carrying the iteration) and
     StagnationError when neither the cost nor the gradient norm can be
-    decreased any further.
+    decreased any further; either error carries the run's counters.
     """
     options = options or OptimizerOptions()
     theta = np.array(theta0, dtype=float, copy=True)
     dim = theta.size
+    counters = dict.fromkeys(COUNTERS, 0)
+    cost_fn, grad_fn = _counted(cost_fn, grad_fn, counters)
 
     f = float(cost_fn(theta))
     g = np.asarray(grad_fn(theta), dtype=float)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         err = NumericalError("non-finite cost or gradient at iteration 0")
         err.iteration = 0
+        err.counters = counters
         raise err
     ginf = float(np.max(np.abs(g))) if dim else 0.0
     f_best = f
@@ -323,7 +368,7 @@ def bfgs_minimize(
             # the cost has flattened out at its floating-point floor; drive
             # the gradient down directly instead of grinding ulp by ulp
             last_polish = it
-            polish = _newton_polish(cost_fn, grad_fn, theta, f, g, options)
+            polish = _newton_polish(cost_fn, grad_fn, theta, f, g, options, counters)
             if polish is not None:
                 theta_new, f_new, g_new = polish
                 polish_gap = 1
@@ -339,6 +384,7 @@ def bfgs_minimize(
             is_sd = False
             if float(g @ p) >= 0.0:  # numerical loss of descent; restart metric
                 hinv = np.eye(dim)
+                counters["metric_resets"] += 1
                 p = -g
                 is_sd = True
             pn = float(np.linalg.norm(p))
@@ -355,6 +401,7 @@ def bfgs_minimize(
                 step = _line_search(cost_fn, theta, f, g, p, options)
             if step is None and not is_sd:
                 hinv = np.eye(dim)
+                counters["metric_resets"] += 1
                 p = -g
                 step = _line_search(cost_fn, theta, f, g, p, options)
 
@@ -364,9 +411,10 @@ def bfgs_minimize(
                 if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
                     err = NumericalError(f"non-finite cost or gradient at iteration {it}")
                     err.iteration = it
+                    err.counters = counters
                     raise err
             else:
-                polish = _newton_polish(cost_fn, grad_fn, theta, f, g, options)
+                polish = _newton_polish(cost_fn, grad_fn, theta, f, g, options, counters)
                 if polish is None:
                     err = StagnationError(
                         f"line search failed after {_MAX_BACKTRACKS} backtracks and the "
@@ -375,6 +423,7 @@ def bfgs_minimize(
                     err.theta = theta
                     err.iteration = it
                     err.trace = trace
+                    err.counters = counters
                     raise err
                 theta_new, f_new, g_new = polish
 
@@ -402,6 +451,7 @@ def bfgs_minimize(
         theta_star=theta,
         cost_trace=trace,
         converged=bool(ginf < options.tol_grad_inf),
+        counters=counters,
     )
 
 
@@ -419,19 +469,25 @@ def optimize_theta(
     float resolution of the lowest, converged ones win, since a tied cost
     with the gradient driven below tolerance is the same minimum resolved
     better.  A start that stalls out is dropped unless every start does,
-    in which case the first error propagates.
+    in which case the first error propagates.  The winner's counters are
+    the sums over all starts, stalled ones included.
     """
     options = options or OptimizerOptions()
     results: list[OptimizationResult] = []
     first_error: Exception | None = None
+    total = dict.fromkeys(COUNTERS, 0)
     for start in range(options.multi_start):
         opts_i = options if start == 0 else _with_seed(options, options.seed + start)
         theta0 = initial_theta(parameter_count, opts_i)
         try:
             results.append(bfgs_minimize(cost_fn, grad_fn, theta0, opts_i))
+            counters = results[-1].counters
         except (NumericalError, StagnationError) as err:
+            counters = getattr(err, "counters", {})
             if first_error is None:
                 first_error = err
+        for name in COUNTERS:
+            total[name] += counters.get(name, 0)
     if not results:
         assert first_error is not None
         raise first_error
@@ -440,7 +496,7 @@ def optimize_theta(
     tied = [r for r in results if r.final_cost <= f_low + slack]
     converged = [r for r in tied if r.converged]
     pool = converged or tied
-    return min(pool, key=lambda r: r.final_cost)
+    return replace(min(pool, key=lambda r: r.final_cost), counters=total)
 
 
 def _with_seed(options: OptimizerOptions, seed: int) -> OptimizerOptions:

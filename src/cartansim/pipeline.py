@@ -154,6 +154,8 @@ class RunRecord:
     timings_ms: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
     version: str = RECORD_VERSION
+    # optimize.COUNTERS summed over starts; records written before it load as {}
+    optimizer_counters: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -207,7 +209,7 @@ def _rebuild(config: RunConfig):
     check_hamiltonian_in_m(h)
     split = cartan_split(dla, terms)
     require_valid_split(split)
-    ansatz = build_ansatz(split.k_basis, config.order, variant=config.variant)
+    ansatz = build_ansatz(split.k_basis, config.order, variant=config.variant, n=h.n)
     return h, dla, split, ansatz
 
 
@@ -224,7 +226,9 @@ def run_decompose(config: RunConfig, persist: bool = True) -> RunRecord:
     clock.run("check_hamiltonian_in_m", check_hamiltonian_in_m, h)
     split = clock.run("cartan_split", cartan_split, dla, terms)
     clock.run("require_valid_split", require_valid_split, split)
-    ansatz = clock.run("build_ansatz", build_ansatz, split.k_basis, config.order, variant=config.variant)
+    ansatz = clock.run(
+        "build_ansatz", build_ansatz, split.k_basis, config.order, variant=config.variant, n=h.n
+    )
     v = clock.run("make_target_v", make_target_v, split.h_basis)
     cost_fn, grad_fn, engine = clock.run(
         "make_cost_functions", make_cost_functions, ansatz, dla.strings, v, h, config.optimizer
@@ -255,6 +259,7 @@ def run_decompose(config: RunConfig, persist: bool = True) -> RunRecord:
         residual_fro=residual,
         residual_rel=residual / h.norm(),
         timings_ms=clock.timings_ms,
+        optimizer_counters=dict(result.counters),
     )
     if persist:
         _persist_decompose(record, v, h)

@@ -159,22 +159,26 @@ def _nested(elems: Sequence[AlgebraElement]) -> AlgebraElement:
     return acc
 
 
-def build_ansatz(k_basis: Sequence[PauliString], order: int, variant: str = "standard") -> Ansatz:
+def build_ansatz(
+    k_basis: Sequence[PauliString], order: int, variant: str = "standard", n: int | None = None
+) -> Ansatz:
     """Assemble the factor list for a k-basis at the given expansion order.
 
     An empty basis yields the identity ansatz (no factors, no parameters);
-    that happens for models whose DLA is already abelian.
+    that happens for models whose DLA is already abelian.  ``n`` is the
+    qubit count, which an empty basis cannot tell; without it such an
+    ansatz acts on one qubit.
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"ansatz order must be 1..4, got {order}")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown coefficient variant {variant!r}; choose from {VARIANTS}")
     if k_basis:
-        n = k_basis[0].n
+        n = k_basis[0].n if n is None else n
         for p in k_basis:
             if p.n != n:
                 raise StructuralError(f"mixed qubit counts in k-basis: {n} vs {p.n}")
-    else:
+    elif n is None:
         n = 1  # degenerate identity ansatz
 
     k = [AlgebraElement.from_string(p) for p in k_basis]

@@ -1,13 +1,20 @@
-"""Dense-matrix reference implementations used to cross-check the exact algebra.
+"""Reference implementations used to cross-check the package.
 
-Everything here is deliberately written against text labels and numpy
+The dense oracles are deliberately written against text labels and numpy
 primitives only, so a bug in the package's symplectic bookkeeping cannot
-propagate into the expected values.
+propagate into the expected values.  The adjoint references at the end
+(the one-vector sweep kernel and the standalone gradient) keep the plain
+loops the compiled engine's lane sweeps must reproduce bit for bit.
 """
 
 from functools import reduce
 
 import numpy as np
+
+from cartansim.adjoint import CompiledAdjoint
+from cartansim.lie import generate_dla
+from cartansim.optimize import OptimizerOptions, TargetV, cost, fd_gradient
+from cartansim.pauli import sort_strings
 
 SITE = {
     "I": np.eye(2, dtype=complex),
@@ -119,3 +126,76 @@ def error_curve_oracle(h_labels: dict[str, float], k_c, h0_labels: dict[str, flo
         diff = exact - kdag @ core @ k_c
         errs.append(float(np.sqrt(max(np.linalg.eigvalsh(diff.conj().T @ diff)[-1], 0.0))))
     return np.asarray(errs)
+
+
+def reference_cost_and_grad(engine: CompiledAdjoint, theta, v, h):
+    """Cost and gradient from one-vector sweeps: a forward sweep, then a
+    backward sweep that undoes each rotation on E and on B separately."""
+    theta = np.asarray(theta, dtype=float)
+    phi = engine._angles(theta)
+    tcount = len(phi)
+    scale = float(2**engine.n)
+
+    e = np.array(v, dtype=float, copy=True)
+    c2 = np.cos(2 * phi)
+    s2 = np.sin(2 * phi)
+    for t in range(tcount):
+        qa, qb, sgn = engine._edges[engine.sub_edge[t]]
+        va = e[qa]
+        e[qb] = c2[t] * e[qb] + s2[t] * (sgn * va)
+    f = scale * float(e @ h)
+    grad = np.zeros_like(theta)
+    if tcount == 0 or theta.size == 0:
+        return f, grad
+
+    b = np.array(h, dtype=float, copy=True)
+    gsub = np.empty(tcount)
+    for t in range(tcount - 1, -1, -1):
+        qa, qb, sgn = engine._edges[engine.sub_edge[t]]
+        gsub[t] = 2.0 * float(np.dot(sgn * e[qa], b[qb]))
+        va = e[qa]
+        e[qb] = c2[t] * e[qb] - s2[t] * (sgn * va)
+        wa = b[qa]
+        b[qb] = c2[t] * b[qb] - s2[t] * (sgn * wa)
+    gsub *= scale
+
+    gfac = np.bincount(
+        engine.sub_factor, weights=gsub * engine.sub_weight, minlength=len(engine.ansatz.factors)
+    )
+    tx = theta[engine.m_idx]
+    powed = np.power(tx, engine.m_pow)
+    width = engine.m_idx.shape[1]
+    for s in range(width):
+        others = engine.f_scale.copy()
+        for s2_ in range(width):
+            if s2_ != s:
+                others *= powed[:, s2_]
+        pw = engine.m_pow[:, s]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dphi = np.where(pw > 0, pw * np.power(tx[:, s], np.maximum(pw - 1, 0.0)) * others, 0.0)
+        np.add.at(grad, engine.m_idx[:, s], gfac * dphi)
+    return f, grad
+
+
+def closure_basis(ansatz, *elements):
+    """The DLA closure of the k-basis together with the elements' strings."""
+    seeds = list(ansatz.k_basis)
+    for e in elements:
+        seeds.extend(p for p, _ in e.items())
+    return generate_dla(sort_strings(set(seeds))).strings
+
+
+def gradient(ansatz, theta, v, h, options=None):
+    """Gradient of the trace cost, analytic by default.
+
+    The analytic path compiles the adjoint over the bracket closure of
+    (k-basis, v, H); the fd path takes central differences of the
+    dictionary-based reference cost.
+    """
+    options = options or OptimizerOptions()
+    ve = v.element if isinstance(v, TargetV) else v
+    theta = np.asarray(theta, float)
+    if options.grad_mode == "fd":
+        return fd_gradient(lambda th: cost(ansatz, th, ve, h), theta, options.fd_step)
+    engine = CompiledAdjoint(ansatz, closure_basis(ansatz, ve, h))
+    return engine.cost_and_grad(theta, engine.vector(ve), engine.vector(h))[1]

@@ -28,6 +28,7 @@ def test_decompose_exit_zero(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "converged=True" in out
+    assert "optimizer: cost_evals=" in out and "forward_reuses=" in out
     assert "record:" in out
 
 

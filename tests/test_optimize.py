@@ -6,12 +6,12 @@ import pytest
 from cartansim.errors import ConfigError, NumericalError, StagnationError, StructuralError
 from cartansim.lie import cartan_split, generate_dla
 from cartansim.optimize import (
+    COUNTERS,
     OptimizerOptions,
     bfgs_minimize,
     cost,
     extract_h0,
     fd_gradient,
-    gradient,
     initial_theta,
     make_cost_functions,
     make_target_v,
@@ -20,6 +20,8 @@ from cartansim.optimize import (
 )
 from cartansim.pauli import AlgebraElement, hs_inner, parse_label, to_dense
 from cartansim.zassenhaus import build_ansatz, k_dense
+
+from oracles import gradient
 
 
 def strs(*labels):
@@ -259,6 +261,51 @@ def test_optimize_theta_restart_takes_lower_cost():
     multi = optimize_theta(cost_fn, grad_fn, 1, OptimizerOptions(seed=0, init_scale=1.5, multi_start=4))
     assert multi.final_cost == pytest.approx(min(singles), abs=1e-9)
     assert multi.theta_star[0] == pytest.approx(-1.05745, abs=1e-3)
+
+
+def test_counters_tally_calls_and_sum_over_starts():
+    h, dla, split, ansatz, v = tfim2_setup(order=2)
+    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h, OptimizerOptions())
+    calls = {"cost": 0, "grad": 0}
+
+    def cost(th):
+        calls["cost"] += 1
+        return cost_fn(th)
+
+    def grad(th):
+        calls["grad"] += 1
+        return grad_fn(th)
+
+    opts = OptimizerOptions(seed=7, multi_start=2)
+    singles = [
+        bfgs_minimize(cost_fn, grad_fn, initial_theta(ansatz.parameter_count, o), o)
+        for o in (opts, OptimizerOptions(seed=8))
+    ]
+    multi = optimize_theta(cost, grad, ansatz.parameter_count, opts)
+    assert set(multi.counters) == set(COUNTERS)
+    for name in COUNTERS:
+        assert multi.counters[name] == sum(r.counters[name] for r in singles)
+    # plain wrappers hide the lanes, so every Hessian gradient is one call
+    assert calls["cost"] == multi.counters["cost_evals"]
+    assert calls["grad"] == multi.counters["grad_evals"]
+    assert multi.counters["hessian_builds"] == multi.counters["polish_attempts"]
+    assert 0 < multi.counters["forward_reuses"] <= multi.counters["grad_evals"]
+
+
+def test_counters_on_a_stalled_start():
+    def spiky(th):
+        return 0.0 if np.array_equal(th, np.zeros(2)) else 1.0
+
+    with pytest.raises(StagnationError) as info:
+        bfgs_minimize(spiky, lambda th: np.ones(2), np.zeros(2))
+    c = info.value.counters
+    # one backtracking run, a steepest-descent retry with the metric reset,
+    # then a polish on a zero Hessian: both of its directions are zero, so
+    # each of the 2 x 30 trial steps lands back on theta, passes the cost
+    # test and asks for the gradient right there
+    assert c["metric_resets"] == 1 and c["polish_attempts"] == c["polish_failures"] == 1
+    assert c["hessian_builds"] == 1
+    assert c["grad_evals"] == 1 + 2 * 2 + 60 and c["forward_reuses"] == 1 + 60
 
 
 def test_optimize_theta_propagates_when_all_starts_fail():

@@ -11,6 +11,7 @@ from cartansim import (
     OptimizerOptions,
 )
 from cartansim.models import ModelSpec, default_benchmark_specs
+from cartansim.optimize import COUNTERS
 from cartansim.pauli import AlgebraElement, bracket, commutes
 from cartansim import pipeline
 from cartansim.pipeline import (
@@ -130,6 +131,26 @@ def test_decompose_record_contents(xy_record):
     assert record.residual_rel < 1e-6
     assert record.version == "1"
     assert set(record.timings_ms) >= {"generate_dla", "cartan_split", "optimize", "extract_h0"}
+    counters = record.optimizer_counters
+    assert set(counters) == set(COUNTERS)
+    assert counters["cost_evals"] >= record.iterations and counters["forward_reuses"] >= 1
+
+
+def test_records_without_counters_still_load(xy_record, tmp_path):
+    config, record = xy_record
+    doc = json.loads((config.run_dir() / "record.json").read_text())
+    del doc["optimizer_counters"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert RunRecord.load(path).optimizer_counters == {}
+    assert verify(path).optimizer_counters == {}
+
+
+def test_abelian_model_runs_on_its_own_qubit_count(tmp_path):
+    # xy n=2 has an abelian DLA, so K is the identity on the model's 4 states
+    record = run_error_curve(RunConfig(model=ModelSpec("xy", 2), order=1, output_dir=str(tmp_path)))
+    assert record.parameter_count == 0
+    assert max(record.curve_errors) <= 1e-12 and record.error_at_table_t <= 1e-12
 
 
 def test_decompose_persists_artifacts(xy_record):

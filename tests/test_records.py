@@ -1,18 +1,23 @@
-"""Every committed run record still verifies from its theta*, unregenerated.
+"""Every committed run record still verifies from its theta*, unregenerated,
+and the optimizer still finds exactly that theta*.
 
 verify() rebuilds K, h0, the residual and the whole error curve and holds
 each to 1e-12 of the stored value, so this guards that contract across any
-change to the dense layer.
+change to the dense layer.  Re-decomposing holds the optimizer to its
+recorded trajectory bit for bit, so a change to the sweeps or the minimizer
+that moves any float shows here.
 """
 
 from pathlib import Path
 
 import pytest
 
-from cartansim import verify
+from cartansim import RunRecord, run_decompose, verify
 
 RUNS = Path(__file__).resolve().parents[1] / "runs"
 RECORDS = sorted(RUNS.rglob("record.json"))
+# heisenberg orders 3-4 take several seconds each to re-decompose
+SLOW = {("heisenberg", 3), ("heisenberg", 4)}
 
 
 def test_committed_records_are_found():
@@ -23,3 +28,19 @@ def test_committed_records_are_found():
 def test_committed_record_verifies(path):
     record = verify(path)
     assert record.curve_errors is not None and record.error_at_table_t is not None
+
+
+def _quick(path):
+    config = RunRecord.load(path).config
+    return (config.model.name, config.order) not in SLOW
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in RECORDS if _quick(p)], ids=lambda p: str(p.parent.relative_to(RUNS))
+)
+def test_committed_record_redecomposes_exactly(path):
+    stored = RunRecord.load(path)
+    fresh = run_decompose(stored.config, persist=False)
+    assert fresh.theta_star == stored.theta_star
+    assert fresh.iterations == stored.iterations
+    assert fresh.cost_trace == stored.cost_trace

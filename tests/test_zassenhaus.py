@@ -135,6 +135,10 @@ def test_empty_k_basis_gives_identity_ansatz():
     ansatz = build_ansatz([], order=3)
     assert ansatz.parameter_count == 0 and ansatz.factors == ()
     assert np.allclose(k_dense(ansatz, np.zeros(0)), np.eye(2))
+    ansatz = build_ansatz([], order=1, n=3)
+    assert ansatz.n == 3 and np.array_equal(k_dense(ansatz, np.zeros(0)), np.eye(8))
+    with pytest.raises(StructuralError):
+        build_ansatz(strs("XX"), order=1, n=3)
 
 
 def test_ansatz_serialization_shape():
