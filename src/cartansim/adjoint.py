@@ -27,13 +27,18 @@ search.  Here the same computation is compiled once per (ansatz, basis):
   (2, dim) array, so each step is one gather, one rotation and one
   scatter for both, through flat indices precomputed per edge block;
 * a batch of L points, theta of shape (L, m), runs both sweeps over lanes:
-  the state is (dim, 2L), basis index first, so a step gathers and
-  scatters whole rows of lanes.  This is how the polish Hessian gets its
-  2m differenced gradients in one pass;
+  the state is (dim, 2L), basis index first, and a step gathers whole rows
+  of lanes with ``take``, which returns a C-contiguous (k, 2L) block
+  whatever the index.  This is how the polish Hessian gets its differenced
+  gradients.  Lanes run in chunks of about _LANE_BYTES of step tables and
+  states, so they add little to the heap;
+* one point keeps kernels of its own: run as a single lane it pays for 2-D
+  gathers and scatters and for the copies its dot needs, about twice the
+  time per step, and one-point sweeps are what every BFGS step runs;
 * every dot product is BLAS ddot over two contiguous vectors, as a point
-  run alone gets it: the lane batch copies its transposed rows out first,
-  and numpy's stacked matmul of (1, k) by (k, 1) calls ddot per lane.
-  On strided rows ddot adds in another order and changes the last bit of
+  run alone gets it: the lanes copy their transposed rows out first, and
+  numpy's stacked matmul of (1, k) by (k, 1) calls ddot per lane.  On
+  strided rows ddot adds in another order and changes the last bit of
   most gradient entries.  Edge signs are exactly +-1 and 2^n a power of
   two, so where those multiplies happen is exact; no other product is
   regrouped.
@@ -43,13 +48,32 @@ Everything here must agree with adjoint_K to round-off; the tests assert it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, StructuralError
 from .pauli import AlgebraElement, PauliString, bracket_strings
 from .zassenhaus import Ansatz, _split
+
+#: Lane batches run in chunks of about this many bytes of per-lane arrays
+#: (step tables and states), so a Hessian's lanes stay small next to the heap.
+_LANE_BYTES = 1 << 16
+
+
+class _Edges(NamedTuple):
+    """The rotation pairs of one generator string P: bb(P, Q_qa) = 2 sgn Q_qb.
+
+    The index sets are views of iab = [qa, qa + dim, qb, qb + dim], the flat
+    indices that the one-point backward sweep gathers from its (2, dim)
+    state of E and B rows; ib = [qb, qb + dim] is where it scatters back.
+    """
+
+    qa: np.ndarray
+    qb: np.ndarray
+    sgn: np.ndarray
+    iab: np.ndarray
+    ib: np.ndarray
 
 
 class CompiledAdjoint:
@@ -64,7 +88,7 @@ class CompiledAdjoint:
             raise StructuralError("duplicate strings in adjoint basis")
 
         # one edge block per distinct generator string
-        self._edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._edges: list[_Edges] = []
         edge_of: dict[PauliString, int] = {}
 
         sub_edge: list[int] = []   # edge-block id per subfactor
@@ -81,14 +105,6 @@ class CompiledAdjoint:
         self.sub_edge = np.asarray(sub_edge, dtype=np.intp)
         self.sub_weight = np.asarray(sub_weight, dtype=float)
         self.sub_factor = np.asarray(sub_factor, dtype=np.intp)
-        # hot-loop forms of each edge block: conjugate gathers qa and qb of
-        # its vector at once, the backward sweep those of both its rows
-        dim = len(self.basis)
-        self._gathers = [(np.concatenate([qa, qb]), qb, sgn) for qa, qb, sgn in self._edges]
-        self._pair_gathers = [
-            (np.concatenate([qa, qa + dim, qb, qb + dim]), np.concatenate([qb, qb + dim]), sgn)
-            for qa, qb, sgn in self._edges
-        ]
 
         # factor monomials, padded to fixed width for vector evaluation
         m = len(ansatz.factors)
@@ -102,7 +118,7 @@ class CompiledAdjoint:
                 self.m_idx[fi, s] = i
                 self.m_pow[fi, s] = p
 
-    def _compile_edges(self, p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _compile_edges(self, p: PauliString) -> _Edges:
         qa, qb, sgn = [], [], []
         for i, q in enumerate(self.basis):
             hit = bracket_strings(p, q)
@@ -117,11 +133,9 @@ class CompiledAdjoint:
             qa.append(i)
             qb.append(j)
             sgn.append(c / 2.0)
-        return (
-            np.asarray(qa, dtype=np.intp),
-            np.asarray(qb, dtype=np.intp),
-            np.asarray(sgn, dtype=float),
-        )
+        k, dim = len(qa), len(self.basis)
+        iab = np.asarray(qa + [i + dim for i in qa] + qb + [j + dim for j in qb], dtype=np.intp)
+        return _Edges(iab[:k], iab[2 * k : 3 * k], np.asarray(sgn, dtype=float), iab, iab[2 * k :])
 
     # -- vector <-> element -----------------------------------------------
 
@@ -151,23 +165,25 @@ class CompiledAdjoint:
         coeffs = self.f_scale * np.prod(np.power(tx, self.m_pow), axis=1)
         return coeffs[self.sub_factor] * self.sub_weight
 
+    def _steps(self, theta: np.ndarray, direction: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """cos(2 phi_t) and direction * sin(2 phi_t) for every step of one point."""
+        phi = self._angles(theta)
+        return np.cos(2 * phi), direction * np.sin(2 * phi)
+
     def conjugate(self, theta: np.ndarray, v: np.ndarray, side: str = "kdag_e_k") -> np.ndarray:
         """Apply the full rotation program to a coefficient vector."""
         if side not in ("kdag_e_k", "k_e_kdag"):
             raise StructuralError(f"unknown side {side!r}")
-        phi = self._angles(theta)
+        c2, s2 = self._steps(theta, 1.0 if side == "kdag_e_k" else -1.0)
+        return self._forward(v, c2, s2, reverse=side == "k_e_kdag")
+
+    def _forward(self, v: np.ndarray, c2: np.ndarray, s2: np.ndarray, reverse: bool = False) -> np.ndarray:
         out = np.array(v, dtype=float, copy=True)
-        direction = 1.0 if side == "kdag_e_k" else -1.0
-        c2 = np.cos(2 * phi).tolist()
-        s2 = (direction * np.sin(2 * phi)).tolist()
-        steps = list(zip(self.sub_edge.tolist(), c2, s2))
-        if side == "k_e_kdag":
-            steps.reverse()
-        # v[qb] <- c v[qb] + s (sgn v[qa]), in place on one gather of both
-        for j, c, s in steps:
-            qab, qb, sgn = self._gathers[j]
-            x = out[qab]
-            va, vb = x[: len(sgn)], x[len(sgn) :]
+        order = slice(None, None, -1) if reverse else slice(None)
+        for j, c, s in zip(self.sub_edge[order].tolist(), c2[order], s2[order]):
+            # v[qb] <- c v[qb] + s (sgn v[qa])
+            qa, qb, sgn, _, _ = self._edges[j]
+            va, vb = out[qa], out[qb]
             va *= sgn
             va *= s
             vb *= c
@@ -195,55 +211,63 @@ class CompiledAdjoint:
         Either way each point gets exactly the floats it gets alone.
         """
         theta = np.asarray(theta, dtype=float)
-        points = theta[None] if theta.ndim == 1 else theta
-        if points.ndim != 2 or not len(points):
+        if theta.ndim != 1 and (theta.ndim != 2 or not len(theta)):
             raise DimensionError(f"theta has shape {theta.shape}, expected (m,) or (L, m), L > 0")
         if forward is not None and theta.ndim != 1:
             raise DimensionError("a reused forward state belongs to a single theta")
-        tcount = len(self.sub_edge)
-        if theta.ndim == 1:
-            phi = self._angles(theta)
-            e = self.conjugate(theta, v) if forward is None else np.asarray(forward, dtype=float)
-            grad = np.zeros_like(theta)
-            if tcount and theta.size:
-                grad = self._theta_grad(theta, self._backward(e, h, np.cos(2 * phi), np.sin(2 * phi)))
-            return self.trace(e, h), grad
+        if theta.ndim == 2:
+            # equal chunks of about _LANE_BYTES: step tables and states per lane
+            per_lane = 8 * (3 * len(self.sub_edge) + 4 * len(self.basis))
+            chunks = min(len(theta), -(-len(theta) * per_lane // _LANE_BYTES))
+            f, grad = np.empty(len(theta)), np.empty_like(theta)
+            for rows in np.array_split(np.arange(len(theta)), chunks):
+                f[rows], grad[rows] = self._lanes(theta[rows], v, h)
+            return f, grad
 
-        c2 = np.empty((tcount, len(points)))  # (step, lane)
-        s2 = np.empty_like(c2)
-        for lane, th in enumerate(points):
-            phi = self._angles(th)
-            c2[:, lane] = np.cos(2 * phi)
-            s2[:, lane] = np.sin(2 * phi)
-        e = self._forward_lanes(v, c2, s2)
-        grad = np.zeros_like(points)
-        if tcount and points.shape[1]:
-            gsub = self._backward_lanes(e, h, c2, s2)
-            grad[:] = [self._theta_grad(th, g) for th, g in zip(points, gsub.T)]
-        return np.array([self.trace(row, h) for row in e.T.copy()]), grad
+        c2, s2 = self._steps(theta)
+        e = self._forward(v, c2, s2) if forward is None else np.asarray(forward, dtype=float)
+        grad = np.zeros_like(theta)
+        if len(self.sub_edge) and theta.size:
+            grad = self._theta_grad(theta, self._backward(e, h, c2, s2))
+        return self.trace(e, h), grad
 
     def _backward(self, e: np.ndarray, h: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
         """d f / d phi_t at one point, undoing every step on E and B together."""
         st = np.concatenate([e, h])  # rows E and B of a (2, dim) array
-        gsub = []
-        for j, c, s in zip(self.sub_edge[::-1].tolist(), c2[::-1].tolist(), s2[::-1].tolist()):
-            iab, ib, sgn = self._pair_gathers[j]
+        gsub = np.empty(len(self.sub_edge))
+        steps = zip(range(len(gsub) - 1, -1, -1), self.sub_edge[::-1].tolist(), c2[::-1], s2[::-1])
+        for t, j, c, s in steps:
+            _, _, sgn, iab, ib = self._edges[j]
             x = st[iab].reshape(4, -1)  # rows sgn E[qa], sgn B[qa], E[qb], B[qb]
             xa, xb = x[:2], x[2:]
             xa *= sgn
-            gsub.append(np.dot(x[0], x[3]))
+            gsub[t] = np.dot(x[0], x[3])
             xb *= c
             xa *= s
             xb -= xa
             st[ib] = xb.reshape(-1)
         # d f / d phi_t = 2^n * 2 * sum sgn * E_t[qa] * B_t[qb]
-        return np.array(gsub[::-1]) * (2.0 * float(2**self.n))
+        gsub *= 2.0 * float(2**self.n)
+        return gsub
+
+    def _lanes(self, points: np.ndarray, v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cost_and_grad of L points as L lanes of one forward and one backward sweep."""
+        c2 = np.empty((len(self.sub_edge), len(points)))  # (step, lane)
+        s2 = np.empty_like(c2)
+        for lane, theta in enumerate(points):
+            c2[:, lane], s2[:, lane] = self._steps(theta)
+        e = self._forward_lanes(v, c2, s2)
+        grad = np.zeros_like(points)
+        if len(self.sub_edge) and points.shape[1]:
+            gsub = self._backward_lanes(e, h, c2, s2)
+            grad[:] = [self._theta_grad(theta, g) for theta, g in zip(points, gsub.T)]
+        return np.array([self.trace(row, h) for row in e.T.copy()]), grad
 
     def _forward_lanes(self, v: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
         """K^dag V K for every lane (column) of c2/s2, as a (dim, L) array."""
         e = np.repeat(np.asarray(v, dtype=float)[:, None], c2.shape[1], axis=1)
         for t in range(len(self.sub_edge)):
-            qa, qb, sgn = self._edges[self.sub_edge[t]]
+            qa, qb, sgn = self._edges[self.sub_edge[t]][:3]
             xa = e.take(qa, axis=0)
             xa *= sgn[:, None]
             xb = e.take(qb, axis=0)
@@ -262,7 +286,7 @@ class CompiledAdjoint:
         st = np.concatenate([e, np.repeat(h[:, None], lanes, axis=1)], axis=1)
         gsub = np.empty((len(self.sub_edge), lanes))
         for t in range(len(self.sub_edge) - 1, -1, -1):
-            qa, qb, sgn = self._edges[self.sub_edge[t]]
+            qa, qb, sgn = self._edges[self.sub_edge[t]][:3]
             xa = st.take(qa, axis=0)
             xa *= sgn[:, None]
             xb = st.take(qb, axis=0)

@@ -80,15 +80,15 @@ class OptimizerOptions:
 
 #: What a minimization did, counted by bfgs_minimize and summed over starts
 #: by optimize_theta.  grad_evals includes the 2m gradients of every polish
-#: Hessian; forward_reuses counts gradients asked for at exactly the point of
-#: the cost evaluation just before, which the closures of make_cost_functions
-#: answer from that evaluation's forward sweep.  Every polish attempt builds
-#: one Hessian; metric resets put the inverse Hessian back to the identity.
+#: Hessian; forward_reuses counts the gradients that an analytic grad_fn of
+#: make_cost_functions answered from the forward sweep of the cost evaluation
+#: just before (a grad_fn without that memo, or one wrapped in a plain
+#: function, reports none).  metric_resets put the inverse Hessian back to
+#: the identity.
 COUNTERS = (
     "cost_evals",
     "grad_evals",
     "forward_reuses",
-    "hessian_builds",
     "polish_attempts",
     "polish_failures",
     "metric_resets",
@@ -158,9 +158,7 @@ def make_cost_functions(
     cost_fn keeps the forward sweep of the last point it evaluated, and an
     analytic grad_fn at exactly that point (bit for bit) reuses it and runs
     only the backward sweep.  The minimizer asks for the gradient right
-    after the cost at every accepted step and polish point.  The analytic
-    grad_fn also carries ``lanes``: gradients at the rows of an (L, m)
-    array from one lane sweep, which the polish Hessian uses.
+    after the cost at every accepted step and polish point.
     """
     engine = CompiledAdjoint(ansatz, basis)
     v_vec = engine.vector(v.element)
@@ -177,20 +175,42 @@ def make_cost_functions(
         def grad_fn(theta: np.ndarray) -> np.ndarray:
             return fd_gradient(cost_fn, theta, options.fd_step)
     else:
-        def grad_fn(theta: np.ndarray) -> np.ndarray:
-            theta = np.asarray(theta, dtype=float)
-            point, state = last
-            same = point is not None and point.shape == theta.shape
-            if not (same and point.tobytes() == theta.tobytes()):
-                state = None  # not the last cost point, bit for bit: sweep forward again
-            return engine.cost_and_grad(theta, v_vec, h_vec, state)[1]
-
-        grad_fn.lanes = lambda points: engine.cost_and_grad(points, v_vec, h_vec)[1]
+        grad_fn = _EngineGradient(engine, v_vec, h_vec, last)
 
     return cost_fn, grad_fn, engine
 
 
+class _EngineGradient:
+    """The analytic grad_fn of make_cost_functions.
+
+    ``last`` is the cost closure's [point, forward state]; a call at exactly
+    that point takes the forward state from it and adds one to
+    ``forward_reuses``.  ``lanes(points)`` gives the gradients at the rows
+    of an (L, m) array from lane sweeps, which the polish Hessian uses.  (A
+    class, not a closure: a closure that counted on its own attribute would
+    hold itself in a reference cycle, and the engine with it, until the
+    cycle collector ran.)
+    """
+
+    def __init__(self, engine: CompiledAdjoint, v_vec: np.ndarray, h_vec: np.ndarray, last: list):
+        self.engine, self.v_vec, self.h_vec, self.last = engine, v_vec, h_vec, last
+        self.forward_reuses = 0
+
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        point, state = self.last
+        if point is not None and point.shape == theta.shape and point.tobytes() == theta.tobytes():
+            self.forward_reuses += 1
+        else:
+            state = None  # not the last cost point, bit for bit: sweep forward again
+        return self.engine.cost_and_grad(theta, self.v_vec, self.h_vec, state)[1]
+
+    def lanes(self, points: np.ndarray) -> np.ndarray:
+        return self.engine.cost_and_grad(points, self.v_vec, self.h_vec)[1]
+
+
 _MAX_BACKTRACKS = 60
+_HESSIAN_COLUMNS = 16  # columns of the polish Hessian per lanes call
 _STEP_CAP = 2.0  # trial-direction length cap (trust-region-style safeguard)
 
 
@@ -217,17 +237,24 @@ def _line_search(cost_fn, theta, f, g, p, options) -> tuple[float, np.ndarray, f
 def _fd_hessian(grad_fn, theta, step):
     """Symmetrized central differences of the gradient.
 
-    The 2m gradients at theta +- step e_i come from one call of
-    ``grad_fn.lanes`` where the closure has it, else from one call each.
+    Columns go in blocks; a block's gradients at theta +- step e_i come from
+    one call of ``grad_fn.lanes`` where the closure has it, else from one
+    call each, column by column.
     """
     m = theta.size
-    points = [p for e in np.eye(m) * step for p in (theta + e, theta - e)]
     lanes = getattr(grad_fn, "lanes", None)
-    if lanes is not None and m:
-        grads = lanes(np.array(points))
-    else:
-        grads = np.array([np.asarray(grad_fn(p), float) for p in points]).reshape(2 * m, m)
-    h = ((grads[0::2] - grads[1::2]) / (2.0 * step)).T
+    width = _HESSIAN_COLUMNS if lanes is not None else 1
+    h = np.empty((m, m))
+    for lo in range(0, m, width):
+        cols = np.arange(lo, min(lo + width, m))
+        shift = np.zeros((len(cols), m))
+        shift[np.arange(len(cols)), cols] = step
+        points = np.concatenate([theta + shift, theta - shift])
+        if lanes is not None:
+            grads = lanes(points)
+        else:
+            grads = np.array([np.asarray(grad_fn(p), float) for p in points]).reshape(len(points), m)
+        h[:, cols] = ((grads[: len(cols)] - grads[len(cols) :]) / (2.0 * step)).T
     return 0.5 * (h + h.T)
 
 
@@ -243,7 +270,6 @@ def _newton_polish(cost_fn, grad_fn, theta, f, g, options, counters):
     cost is only allowed to wobble by rounding, never to genuinely rise.
     """
     counters["polish_attempts"] += 1
-    counters["hessian_builds"] += 1
     hess = _fd_hessian(grad_fn, theta, 1e-6)
     if not np.all(np.isfinite(hess)):
         counters["polish_failures"] += 1
@@ -262,6 +288,8 @@ def _newton_polish(cost_fn, grad_fn, theta, f, g, options, counters):
                 g_new = np.asarray(grad_fn(theta_new), dtype=float)
                 if np.all(np.isfinite(g_new)) and float(np.linalg.norm(g_new)) <= 0.99 * gnorm:
                     return theta_new, float(f_new), g_new
+            if np.array_equal(theta_new, theta):
+                break  # the step rounds away, and every shorter one lands on theta too
             alpha *= options.backtrack_rho
     counters["polish_failures"] += 1
     return None
@@ -269,18 +297,17 @@ def _newton_polish(cost_fn, grad_fn, theta, f, g, options, counters):
 
 def _counted(cost_fn, grad_fn, counters):
     """cost_fn and grad_fn as the minimizer calls them, tallied in counters."""
-    last = [None]  # bytes of the last cost point
 
     def cost(theta):
         counters["cost_evals"] += 1
-        last[0] = np.asarray(theta, dtype=float).tobytes()
         return cost_fn(theta)
 
     def grad(theta):
         counters["grad_evals"] += 1
-        if np.asarray(theta, dtype=float).tobytes() == last[0]:
-            counters["forward_reuses"] += 1
-        return grad_fn(theta)
+        before = getattr(grad_fn, "forward_reuses", 0)
+        g = grad_fn(theta)
+        counters["forward_reuses"] += getattr(grad_fn, "forward_reuses", 0) - before
+        return g
 
     lanes = getattr(grad_fn, "lanes", None)
     if lanes is not None:

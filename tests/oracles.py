@@ -140,7 +140,7 @@ def reference_cost_and_grad(engine: CompiledAdjoint, theta, v, h):
     c2 = np.cos(2 * phi)
     s2 = np.sin(2 * phi)
     for t in range(tcount):
-        qa, qb, sgn = engine._edges[engine.sub_edge[t]]
+        qa, qb, sgn = engine._edges[engine.sub_edge[t]][:3]
         va = e[qa]
         e[qb] = c2[t] * e[qb] + s2[t] * (sgn * va)
     f = scale * float(e @ h)
@@ -151,7 +151,7 @@ def reference_cost_and_grad(engine: CompiledAdjoint, theta, v, h):
     b = np.array(h, dtype=float, copy=True)
     gsub = np.empty(tcount)
     for t in range(tcount - 1, -1, -1):
-        qa, qb, sgn = engine._edges[engine.sub_edge[t]]
+        qa, qb, sgn = engine._edges[engine.sub_edge[t]][:3]
         gsub[t] = 2.0 * float(np.dot(sgn * e[qa], b[qb]))
         va = e[qa]
         e[qb] = c2[t] * e[qb] - s2[t] * (sgn * va)

@@ -136,3 +136,18 @@ def test_plain_callables_keep_the_column_loop():
     assert np.allclose(hess, 2.0 * np.eye(3), atol=1e-7)
     _, fd_grad, _ = closures(TFIM, 1, grad_mode="fd")
     assert not hasattr(fd_grad, "lanes")
+
+
+@pytest.mark.parametrize("lane_bytes", [1, 20_000, 1 << 40])
+def test_lane_chunks_give_the_same_floats(monkeypatch, lane_bytes):
+    import cartansim.adjoint
+
+    monkeypatch.setattr(cartansim.adjoint, "_LANE_BYTES", lane_bytes)
+    h, _, _, _, v = setup(TFIM, 4)
+    _, _, engine = closures(TFIM, 4)
+    v_vec, h_vec = engine.vector(v.element), engine.vector(h)
+    pts = points(TFIM, 4, 7, seed=3)
+    f_lanes, g_lanes = engine.cost_and_grad(pts, v_vec, h_vec)
+    for theta, f, g in zip(pts, f_lanes, g_lanes):
+        f_one, g_one = engine.cost_and_grad(theta, v_vec, h_vec)
+        assert f == f_one and np.array_equal(g, g_one)
