@@ -15,6 +15,7 @@ from cartansim import (
     TargetV,
     default_benchmark_specs,
 )
+from cartansim import adjoint
 from cartansim.optimize import _fd_hessian, make_cost_functions, make_target_v
 from cartansim.pipeline import _rebuild
 
@@ -140,9 +141,7 @@ def test_plain_callables_keep_the_column_loop():
 
 @pytest.mark.parametrize("lane_bytes", [1, 20_000, 1 << 40])
 def test_lane_chunks_give_the_same_floats(monkeypatch, lane_bytes):
-    import cartansim.adjoint
-
-    monkeypatch.setattr(cartansim.adjoint, "_LANE_BYTES", lane_bytes)
+    monkeypatch.setattr(adjoint, "_LANE_BYTES", lane_bytes)
     h, _, _, _, v = setup(TFIM, 4)
     _, _, engine = closures(TFIM, 4)
     v_vec, h_vec = engine.vector(v.element), engine.vector(h)
