@@ -9,7 +9,8 @@ Layering (each module only reaches downward):
 
     pauli       exact string algebra, real-weighted sums, dense conversion
     lie         DLA closure, involution split, commuting subalgebra
-    zassenhaus  product ansatz K(theta), adjoint action, truncated products
+    zassenhaus  product ansatz K(theta), one signed k-string per factor
+    adjoint     the ansatz's adjoint action compiled to sparse rotations
     optimize    BFGS with Armijo/Wolfe line search, cost/gradient plumbing
     evolution   dense verification: exact propagators, error curves, Trotter
     models      named spin-chain Hamiltonians
@@ -60,7 +61,6 @@ from .lie import (
 from .zassenhaus import (
     Ansatz,
     Factor,
-    adjoint_K,
     build_ansatz,
     k_dense,
     truncation_coefficients,
@@ -71,7 +71,6 @@ from .optimize import (
     OptimizerOptions,
     TargetV,
     bfgs_minimize,
-    cost,
     extract_h0,
     initial_theta,
     make_cost_functions,

@@ -1,15 +1,13 @@
 """Array-compiled adjoint action of an ansatz on a closed string basis.
 
-The analytic path in :mod:`zassenhaus` conjugates term by term through
-dictionaries, which is fine for verification but too slow inside a line
-search.  Here the same computation is compiled once per (ansatz, basis):
+The conjugation K^dag E K is compiled once per (ansatz, basis):
 
 * the element being conjugated lives as a coefficient vector over a fixed
   string basis (normally the DLA basis, which is closed under every
   rotation the ansatz can apply);
-* each single-string subfactor exp(i c w P) becomes a sparse planar
-  rotation: for every basis string Q_a anticommuting with P we have
-  bb(P, Q_a) = 2 s Q_b, and conjugation by the subfactor maps
+* each factor exp(i c w P) becomes a sparse planar rotation: for every
+  basis string Q_a anticommuting with P we have bb(P, Q_a) = 2 s Q_b, and
+  conjugation by the factor maps
 
       v[b] <- cos(2 phi) v[b] + dir * sin(2 phi) * s * v[a],  phi = c*w,
 
@@ -43,7 +41,8 @@ search.  Here the same computation is compiled once per (ansatz, basis):
   two, so where those multiplies happen is exact; no other product is
   regrouped.
 
-Everything here must agree with adjoint_K to round-off; the tests assert it.
+The tests hold all of this to a term-by-term dictionary conjugation and to
+dense matrices.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import numpy as np
 
 from .errors import DimensionError, StructuralError
 from .pauli import AlgebraElement, PauliString, bracket_strings
-from .zassenhaus import Ansatz, _split
+from .zassenhaus import Ansatz
 
 #: Lane batches run in chunks of about this many bytes of per-lane arrays
 #: (step tables and states), so a Hessian's lanes stay small next to the heap.
@@ -87,29 +86,20 @@ class CompiledAdjoint:
         if len(self.index) != len(self.basis):
             raise StructuralError("duplicate strings in adjoint basis")
 
-        # one edge block per distinct generator string
+        # one edge block per distinct factor string; sub_edge is its id per factor
         self._edges: list[_Edges] = []
         edge_of: dict[PauliString, int] = {}
+        for factor in ansatz.factors:
+            if factor.string not in edge_of:
+                edge_of[factor.string] = len(self._edges)
+                self._edges.append(self._compile_edges(factor.string))
+        self.sub_edge = np.array([edge_of[f.string] for f in ansatz.factors], dtype=np.intp)
 
-        sub_edge: list[int] = []   # edge-block id per subfactor
-        sub_weight: list[float] = []
-        sub_factor: list[int] = []
-        for fi, factor in enumerate(ansatz.factors):
-            for p, w in _split(factor):
-                if p not in edge_of:
-                    edge_of[p] = len(self._edges)
-                    self._edges.append(self._compile_edges(p))
-                sub_edge.append(edge_of[p])
-                sub_weight.append(w)
-                sub_factor.append(fi)
-        self.sub_edge = np.asarray(sub_edge, dtype=np.intp)
-        self.sub_weight = np.asarray(sub_weight, dtype=float)
-        self.sub_factor = np.asarray(sub_factor, dtype=np.intp)
-
-        # factor monomials, padded to fixed width for vector evaluation
+        # factor weights and monomials, padded to fixed width for vector evaluation
         m = len(ansatz.factors)
         width = max((len(f.monomial) for f in ansatz.factors), default=1)
         width = max(width, 1)
+        self.f_weight = np.array([f.weight for f in ansatz.factors], dtype=float)
         self.f_scale = np.array([f.scale for f in ansatz.factors], dtype=float)
         self.m_idx = np.zeros((m, width), dtype=np.intp)
         self.m_pow = np.zeros((m, width), dtype=float)
@@ -163,7 +153,7 @@ class CompiledAdjoint:
             return np.zeros(0)
         tx = theta[self.m_idx]
         coeffs = self.f_scale * np.prod(np.power(tx, self.m_pow), axis=1)
-        return coeffs[self.sub_factor] * self.sub_weight
+        return coeffs * self.f_weight
 
     def _steps(self, theta: np.ndarray, direction: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """cos(2 phi_t) and direction * sin(2 phi_t) for every step of one point."""
@@ -234,21 +224,21 @@ class CompiledAdjoint:
     def _backward(self, e: np.ndarray, h: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
         """d f / d phi_t at one point, undoing every step on E and B together."""
         st = np.concatenate([e, h])  # rows E and B of a (2, dim) array
-        gsub = np.empty(len(self.sub_edge))
-        steps = zip(range(len(gsub) - 1, -1, -1), self.sub_edge[::-1].tolist(), c2[::-1], s2[::-1])
+        gphi = np.empty(len(self.sub_edge))
+        steps = zip(range(len(gphi) - 1, -1, -1), self.sub_edge[::-1].tolist(), c2[::-1], s2[::-1])
         for t, j, c, s in steps:
             _, _, sgn, iab, ib = self._edges[j]
             x = st[iab].reshape(4, -1)  # rows sgn E[qa], sgn B[qa], E[qb], B[qb]
             xa, xb = x[:2], x[2:]
             xa *= sgn
-            gsub[t] = np.dot(x[0], x[3])
+            gphi[t] = np.dot(x[0], x[3])
             xb *= c
             xa *= s
             xb -= xa
             st[ib] = xb.reshape(-1)
         # d f / d phi_t = 2^n * 2 * sum sgn * E_t[qa] * B_t[qb]
-        gsub *= 2.0 * float(2**self.n)
-        return gsub
+        gphi *= 2.0 * float(2**self.n)
+        return gphi
 
     def _lanes(self, points: np.ndarray, v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """cost_and_grad of L points as L lanes of one forward and one backward sweep."""
@@ -259,8 +249,8 @@ class CompiledAdjoint:
         e = self._forward_lanes(v, c2, s2)
         grad = np.zeros_like(points)
         if len(self.sub_edge) and points.shape[1]:
-            gsub = self._backward_lanes(e, h, c2, s2)
-            grad[:] = [self._theta_grad(theta, g) for theta, g in zip(points, gsub.T)]
+            gphi = self._backward_lanes(e, h, c2, s2)
+            grad[:] = [self._theta_grad(theta, g) for theta, g in zip(points, gphi.T)]
         return np.array([self.trace(row, h) for row in e.T.copy()]), grad
 
     def _forward_lanes(self, v: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -284,31 +274,27 @@ class CompiledAdjoint:
         """
         lanes = e.shape[1]
         st = np.concatenate([e, np.repeat(h[:, None], lanes, axis=1)], axis=1)
-        gsub = np.empty((len(self.sub_edge), lanes))
+        gphi = np.empty((len(self.sub_edge), lanes))
         for t in range(len(self.sub_edge) - 1, -1, -1):
             qa, qb, sgn = self._edges[self.sub_edge[t]][:3]
             xa = st.take(qa, axis=0)
             xa *= sgn[:, None]
             xb = st.take(qb, axis=0)
             a, b = xa[:, :lanes].T.copy(), xb[:, lanes:].T.copy()
-            gsub[t] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]  # one ddot per lane
+            gphi[t] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]  # one ddot per lane
             # E and B halves as (k, 2, L), so lane l's cos/sin reaches both
             xa, xb = xa.reshape(-1, 2, lanes), xb.reshape(-1, 2, lanes)
             xb *= c2[t]
             xa *= s2[t]
             xb -= xa
             st[qb] = xb.reshape(-1, 2 * lanes)
-        gsub *= 2.0 * float(2**self.n)
-        return gsub
+        gphi *= 2.0 * float(2**self.n)
+        return gphi
 
-    def _theta_grad(self, theta: np.ndarray, gsub: np.ndarray) -> np.ndarray:
+    def _theta_grad(self, theta: np.ndarray, gphi: np.ndarray) -> np.ndarray:
         """Chain d f / d phi_t through the factor monomials to d f / d theta."""
         grad = np.zeros_like(theta)
-        # d phi_t / d theta = w_t * d c_{factor(t)} / d theta; fold the
-        # per-subfactor pieces into per-factor weights first
-        gfac = np.bincount(
-            self.sub_factor, weights=gsub * self.sub_weight, minlength=len(self.ansatz.factors)
-        )
+        gfac = gphi * self.f_weight  # d phi_t / d theta = w_t * d c_t / d theta
         tx = theta[self.m_idx]
         powed = np.power(tx, self.m_pow)
         width = self.m_idx.shape[1]

@@ -19,8 +19,8 @@ import numpy as np
 
 from .adjoint import CompiledAdjoint
 from .errors import ConfigError, NumericalError, StagnationError, StructuralError
-from .pauli import AlgebraElement, PauliString, hs_inner, sort_strings
-from .zassenhaus import Ansatz, adjoint_K
+from .pauli import AlgebraElement, PauliString, sort_strings
+from .zassenhaus import Ansatz
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,6 @@ def initial_theta(parameter_count: int, options: OptimizerOptions) -> np.ndarray
     """
     rng = np.random.default_rng(options.seed)
     return rng.uniform(-options.init_scale, options.init_scale, size=parameter_count)
-
-
-def cost(ansatz: Ansatz, theta: np.ndarray, v: TargetV | AlgebraElement, h: AlgebraElement) -> float:
-    """Reference trace cost through the analytic adjoint path."""
-    ve = v.element if isinstance(v, TargetV) else v
-    return hs_inner(adjoint_K(ansatz, theta, ve, side="kdag_e_k"), h)
 
 
 def fd_gradient(cost_fn: Callable[[np.ndarray], float], theta: np.ndarray, step: float) -> np.ndarray:
@@ -533,21 +527,18 @@ def _with_seed(options: OptimizerOptions, seed: int) -> OptimizerOptions:
 
 
 def extract_h0(
-    ansatz: Ansatz,
+    engine: CompiledAdjoint,
     theta_star: np.ndarray,
     h: AlgebraElement,
     h_basis: Sequence[PauliString],
-    engine: CompiledAdjoint | None = None,
 ) -> tuple[AlgebraElement, float]:
     """h0 = projection of K H K^dag onto span(h), plus the leftover norm.
 
-    The residual is the Frobenius norm of the component outside span(h);
-    by trace orthogonality ||E||^2 = ||h0||^2 + residual^2 exactly.
+    K is the engine's ansatz at theta_star.  The residual is the Frobenius
+    norm of the component outside span(h); by trace orthogonality
+    ||E||^2 = ||h0||^2 + residual^2 exactly.
     """
-    if engine is not None:
-        e = engine.element(engine.conjugate(theta_star, engine.vector(h), side="k_e_kdag"))
-    else:
-        e = adjoint_K(ansatz, theta_star, h, side="k_e_kdag")
+    e = engine.element(engine.conjugate(theta_star, engine.vector(h), side="k_e_kdag"))
     h0 = e.restricted(h_basis)
     residual = (e - h0).norm()
     return h0, float(residual)

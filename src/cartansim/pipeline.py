@@ -236,7 +236,7 @@ def run_decompose(config: RunConfig, persist: bool = True) -> RunRecord:
     result: OptimizationResult = clock.run(
         "optimize", optimize_theta, cost_fn, grad_fn, ansatz.parameter_count, config.optimizer
     )
-    h0, residual = clock.run("extract_h0", extract_h0, ansatz, result.theta_star, h, split.h_basis, engine)
+    h0, residual = clock.run("extract_h0", extract_h0, engine, result.theta_star, h, split.h_basis)
 
     record = RunRecord(
         config=config,
@@ -566,9 +566,17 @@ def verify(record_path: str | Path) -> RunRecord:
     h, dla, split, ansatz = _rebuild(config)
     if dla.dim != record.dla_dim:
         raise NumericalError(f"DLA dimension {dla.dim} != stored {record.dla_dim}")
+    if ansatz.factor_counts() != record.factor_counts:
+        raise NumericalError(
+            f"factor_counts {ansatz.factor_counts()} != stored {record.factor_counts}"
+        )
+    if ansatz.parameter_count != record.parameter_count:
+        raise NumericalError(
+            f"parameter_count {ansatz.parameter_count} != stored {record.parameter_count}"
+        )
     theta = np.asarray(record.theta_star, dtype=float)
     engine = CompiledAdjoint(ansatz, dla.strings)
-    h0, residual = extract_h0(ansatz, theta, h, split.h_basis, engine)
+    h0, residual = extract_h0(engine, theta, h, split.h_basis)
     if abs(residual - record.residual_fro) > VERIFY_TOL:
         raise NumericalError(
             f"residual recomputed as {residual!r} != stored {record.residual_fro!r}"

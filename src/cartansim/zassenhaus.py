@@ -17,8 +17,11 @@ chosen order:
 
 where bb is the adapted bracket -i[.,.] and C4 is the weighted four-index
 combination (1, 3, 3, 1) of left-nested brackets.  The signs fall out of
-substituting A_i = i*theta_i*k_i into the scalar expansion; each factor is
-exactly unitary because every G_m is a real-weighted Pauli sum.
+substituting A_i = i*theta_i*k_i into the scalar expansion.  A nonzero
+nested bracket of Pauli strings is +-2^r times one string, the product of
+its arguments, and C4's four brackets share that string, so every G_m is
+an integer weight times a single string and each factor is an exact
+rotation exp(i c w P).
 
 Exact coefficient values only matter for the direct truncation experiments
 (module ``evolution``, via :func:`truncation_coefficients`); as an
@@ -29,21 +32,14 @@ optimizer absorbs any residual constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ResourceLimitError, StructuralError
-from .pauli import (
-    DENSE_QUBIT_CAP,
-    AlgebraElement,
-    PauliString,
-    apply_rotation,
-    bracket,
-    bracket_strings,
-    string_rotation,
-)
+from .pauli import DENSE_QUBIT_CAP, PauliString, apply_rotation, bracket_strings, string_rotation
 
 #: Nested-commutator coefficients of the scalar Zassenhaus expansion
 #: e^{A+B} = e^A e^B e^{W2} e^{W3} e^{W4} ...  Shapes are left-nested
@@ -90,15 +86,17 @@ def truncation_coefficients(order: int, variant: str = "standard") -> dict[tuple
 
 @dataclass(frozen=True)
 class Factor:
-    """One unitary factor exp(i * coeff(theta) * generator) of the ansatz.
+    """One unitary factor exp(i * coeff(theta) * weight * string) of the ansatz.
 
+    ``weight`` is the exact integer in front of the nested bracket's string.
     ``monomial`` holds ((parameter index, power), ...) and ``scale`` the
     constant in front, so coeff(theta) = scale * prod theta[i]**p.
     """
 
     kind: str  # linear | pair | triple_a | triple_b | quad
     indices: tuple[int, ...]
-    generator: AlgebraElement
+    string: PauliString
+    weight: float
     scale: float
     monomial: tuple[tuple[int, int], ...]
 
@@ -107,15 +105,6 @@ class Factor:
         for i, p in self.monomial:
             c *= theta[i] ** p
         return c
-
-    def to_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "indices": list(self.indices),
-            "generator": {p.label: c for p, c in self.generator.sorted_terms()},
-            "scale": self.scale,
-            "monomial": [list(entry) for entry in self.monomial],
-        }
 
 
 @dataclass(frozen=True)
@@ -142,32 +131,18 @@ class Ansatz:
             counts[f.kind] += 1
         return counts
 
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "order": self.order,
-            "k_basis": [p.label for p in self.k_basis],
-            "factors": [f.to_record() for f in self.factors],
-        }
-
-
-def _nested(elems: Sequence[AlgebraElement]) -> AlgebraElement:
-    """Left-nested bracket bb(e0, bb(e1, ... bb(e_{r-2}, e_{r-1})))."""
-    acc = elems[-1]
-    for e in reversed(elems[:-1]):
-        acc = bracket(e, acc)
-    return acc
-
 
 def build_ansatz(
     k_basis: Sequence[PauliString], order: int, variant: str = "standard", n: int | None = None
 ) -> Ansatz:
     """Assemble the factor list for a k-basis at the given expansion order.
 
-    An empty basis yields the identity ansatz (no factors, no parameters);
-    that happens for models whose DLA is already abelian.  ``n`` is the
-    qubit count, which an empty basis cannot tell; without it such an
-    ansatz acts on one qubit.
+    Every generator is evaluated on strings: a nested bracket is the chain
+    of ``bracket_strings`` results, its weight the product of their +-2
+    factors.  An empty basis yields the identity ansatz (no factors, no
+    parameters); that happens for models whose DLA is already abelian.
+    ``n`` is the qubit count, which an empty basis cannot tell; without it
+    such an ansatz acts on one qubit.
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"ansatz order must be 1..4, got {order}")
@@ -181,143 +156,61 @@ def build_ansatz(
     elif n is None:
         n = 1  # degenerate identity ansatz
 
-    k = [AlgebraElement.from_string(p) for p in k_basis]
+    k = list(k_basis)
     d = len(k)
     triple_b_scale = 1 / 3 if variant == "standard" else 1 / 6
-    factors: list[Factor] = []
+    bb = lru_cache(maxsize=None)(bracket_strings)  # nested brackets share inner ones
 
-    for i in range(d):
-        factors.append(Factor("linear", (i,), k[i], 1.0, ((i, 1),)))
+    def nested(*args: PauliString) -> tuple[float, PauliString] | None:
+        """bb(a0, bb(a1, ... bb(a_{r-2}, a_{r-1}))) as (weight, string), None if zero."""
+        w, acc = 1.0, args[-1]
+        for p in reversed(args[:-1]):
+            hit = bb(p, acc)
+            if hit is None:
+                return None
+            c, acc = hit
+            w *= c
+        return w, acc
+
+    factors = [Factor("linear", (i,), k[i], 1.0, 1.0, ((i, 1),)) for i in range(d)]
+
+    def add(kind, indices, g, sign, scale, monomial):
+        if g is not None:
+            factors.append(Factor(kind, indices, g[1], sign * g[0], scale, monomial))
 
     if order >= 2:
         for i, j in combinations(range(d), 2):
-            g = -1.0 * bracket(k[i], k[j])
-            if not g.is_zero():
-                factors.append(Factor("pair", (i, j), g, -0.5, ((i, 1), (j, 1))))
+            add("pair", (i, j), nested(k[i], k[j]), -1.0, -0.5, ((i, 1), (j, 1)))
 
     if order >= 3:
         for i, j in combinations(range(d), 2):
-            inner = bracket(k[i], k[j])
-            if inner.is_zero():
-                continue
-            ga = bracket(k[i], inner)
-            if not ga.is_zero():
-                factors.append(Factor("triple_a", (i, j), ga, 1 / 6, ((i, 2), (j, 1))))
-            gb = bracket(k[j], inner)
-            if not gb.is_zero():
-                factors.append(
-                    Factor("triple_b", (i, j), gb, triple_b_scale, ((i, 1), (j, 2)))
-                )
+            add("triple_a", (i, j), nested(k[i], k[i], k[j]), 1.0, 1 / 6, ((i, 2), (j, 1)))
+            add("triple_b", (i, j), nested(k[j], k[i], k[j]), 1.0, triple_b_scale, ((i, 1), (j, 2)))
 
     if order >= 4:
         for i, j, kk, ll in combinations(range(d), 4):
-            c4 = (
-                _nested([k[i], k[j], k[kk], k[ll]])
-                + 3.0 * _nested([k[i], k[ll], k[j], k[kk]])
-                + 3.0 * _nested([k[j], k[kk], k[ll], k[i]])
-                + _nested([k[ll], k[j], k[kk], k[i]])
-            )
-            if not c4.is_zero():
-                factors.append(
-                    Factor(
-                        "quad",
-                        (i, j, kk, ll),
-                        -1.0 * c4,
-                        -1 / 24,
-                        ((i, 1), (j, 1), (kk, 1), (ll, 1)),
-                    )
-                )
+            pi, pj, pk, pl = k[i], k[j], k[kk], k[ll]
+            # C4's brackets all land on one string, the product of the four
+            hits = [
+                (x * g[0], g[1])
+                for x, g in ((1.0, nested(pi, pj, pk, pl)), (3.0, nested(pi, pl, pj, pk)),
+                             (3.0, nested(pj, pk, pl, pi)), (1.0, nested(pl, pj, pk, pi)))
+                if g is not None
+            ]
+            w = sum(x for x, _ in hits)
+            if w:
+                g = w, hits[0][1]
+                add("quad", (i, j, kk, ll), g, -1.0, -1 / 24, ((i, 1), (j, 1), (kk, 1), (ll, 1)))
 
     return Ansatz(n, order, tuple(k_basis), tuple(factors))
-
-
-def conjugate_by_factor(
-    element: AlgebraElement,
-    p_sum: AlgebraElement,
-    angle: float,
-    direction: int = 1,
-) -> AlgebraElement:
-    """Analytic conjugation exp(i*d*angle*w*P) E exp(-i*d*angle*w*P).
-
-    ``p_sum`` must hold exactly one string P with weight w.  Each term Q of E
-    either commutes with P (unchanged) or rotates in the plane {Q, bb(P,Q)}:
-
-        Q -> cos(2 phi) Q - (1/2) sin(2 phi) bb(P, Q),   phi = d*angle*w.
-    """
-    terms = list(p_sum.items())
-    if len(terms) != 1:
-        raise StructuralError(
-            f"analytic conjugation needs a single-string generator, got {len(terms)} terms"
-        )
-    if direction not in (1, -1):
-        raise ConfigError(f"direction must be +1 or -1, got {direction}")
-    p, w = terms[0]
-    if p.n != element.n:
-        raise DimensionError(f"mixed qubit counts: {p.n} vs {element.n}")
-    phi = direction * angle * w
-    c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
-    acc: dict[PauliString, float] = {}
-    for q, cq in element.items():
-        hit = bracket_strings(p, q)
-        if hit is None:
-            acc[q] = acc.get(q, 0.0) + cq
-        else:
-            br, r = hit
-            acc[q] = acc.get(q, 0.0) + c2 * cq
-            acc[r] = acc.get(r, 0.0) - 0.5 * s2 * br * cq
-    return AlgebraElement(element.n, acc)
-
-
-def _split(factor: Factor) -> list[tuple[PauliString, float]]:
-    """Single-string subfactors of a factor, in canonical term order.
-
-    A nonzero nested bracket of Pauli strings is a scalar times one string
-    (the XOR of its arguments), and C4's four brackets share that string, so
-    every generator built here has exactly one term.  Every evaluation path
-    (adjoint, dense, compiled) iterates this list, so all of them agree on
-    the order for any generator.
-    """
-    return factor.generator.sorted_terms()
-
-
-def adjoint_K(
-    ansatz: Ansatz,
-    theta: np.ndarray,
-    element: AlgebraElement,
-    side: str = "kdag_e_k",
-) -> AlgebraElement:
-    """Conjugate an algebra element by K(theta) analytically.
-
-    side "kdag_e_k" returns K^dag E K (the cost-function orientation);
-    side "k_e_kdag" returns K E K^dag (the h0-extraction orientation).
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (ansatz.parameter_count,):
-        raise DimensionError(
-            f"theta has shape {theta.shape}, expected ({ansatz.parameter_count},)"
-        )
-    out = element
-    if side == "kdag_e_k":
-        for f in ansatz.factors:
-            c = f.coeff(theta)
-            for p, w in _split(f):
-                out = conjugate_by_factor(out, AlgebraElement.from_string(p, w), c, direction=-1)
-    elif side == "k_e_kdag":
-        for f in reversed(ansatz.factors):
-            c = f.coeff(theta)
-            for p, w in reversed(_split(f)):
-                out = conjugate_by_factor(out, AlgebraElement.from_string(p, w), c, direction=1)
-    else:
-        raise ConfigError(f"side must be 'kdag_e_k' or 'k_e_kdag', got {side!r}")
-    return out
 
 
 def k_dense(ansatz: Ansatz, theta: np.ndarray, qubit_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """Materialize K(theta) as a dense unitary.
 
-    Each factor exp(i c P) = cos(c) I + i sin(c) P is applied to the left of
-    the running matrix, last factor first, as an O(dim^2) row gather.  Odd-Y
-    strings (all of k) keep the work in real arithmetic.
+    Each factor exp(i c w P) = cos(c w) I + i sin(c w) P is applied to the
+    left of the running matrix, last factor first, as an O(dim^2) row
+    gather.  Odd-Y strings (all of k) keep the work in real arithmetic.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ansatz.parameter_count,):
@@ -329,9 +222,7 @@ def k_dense(ansatz: Ansatz, theta: np.ndarray, qubit_cap: int = DENSE_QUBIT_CAP)
     out = np.eye(2**ansatz.n)
     rotations: dict[PauliString, tuple[np.ndarray, np.ndarray]] = {}
     for f in reversed(ansatz.factors):
-        c = f.coeff(theta)
-        for p, w in reversed(_split(f)):
-            if p not in rotations:
-                rotations[p] = string_rotation(p)
-            out = apply_rotation(out, rotations[p], -c * w)
+        if f.string not in rotations:
+            rotations[f.string] = string_rotation(f.string)
+        out = apply_rotation(out, rotations[f.string], -f.coeff(theta) * f.weight)
     return out.astype(complex)

@@ -3,18 +3,21 @@
 The dense oracles are deliberately written against text labels and numpy
 primitives only, so a bug in the package's symplectic bookkeeping cannot
 propagate into the expected values.  The adjoint references at the end
-(the one-vector sweep kernel and the standalone gradient) keep the plain
-loops the compiled engine's lane sweeps must reproduce bit for bit.
+keep the term-by-term dictionary conjugation (``adjoint_K`` and the cost
+on it) that the compiled engine must agree with, and the plain one-vector
+sweep loops that its lane sweeps must reproduce bit for bit.
 """
 
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
 from cartansim.adjoint import CompiledAdjoint
+from cartansim.errors import ConfigError, DimensionError
 from cartansim.lie import generate_dla
-from cartansim.optimize import OptimizerOptions, TargetV, cost, fd_gradient
-from cartansim.pauli import sort_strings
+from cartansim.optimize import OptimizerOptions, TargetV, fd_gradient
+from cartansim.pauli import AlgebraElement, PauliString, bracket_strings, hs_inner, sort_strings
 
 SITE = {
     "I": np.eye(2, dtype=complex),
@@ -98,16 +101,49 @@ def closure_dim(labels: list[str], tol: float = 1e-8) -> int:
 
 
 def k_dense_oracle(ansatz, theta) -> np.ndarray:
-    """K(theta) as the plain matmul product of cos(c) I + i sin(c) P over the
-    factors' generator terms, each P a kron of site matrices."""
+    """K(theta) as the plain matmul product of cos(c w) I + i sin(c w) P over
+    the factors, each P a kron of site matrices."""
     dim = 2**ansatz.n
     out = np.eye(dim, dtype=complex)
     for f in ansatz.factors:
-        c = f.coeff(theta)
-        for p, w in f.generator.sorted_terms():
-            phi = c * w
-            out = out @ (np.cos(phi) * np.eye(dim) + 1j * np.sin(phi) * label_matrix(p.label))
+        phi = f.coeff(theta) * f.weight
+        out = out @ (np.cos(phi) * np.eye(dim) + 1j * np.sin(phi) * label_matrix(f.string.label))
     return out
+
+
+def _bb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Adapted bracket -i[a, b] of matrices, or of stacks of them."""
+    return -1j * (a @ b - b @ a)
+
+
+def dense_generators(labels: list[str], order: int) -> list[tuple[str, tuple[int, ...], np.ndarray]]:
+    """(kind, indices, G) for every nonzero generator of the Zassenhaus
+    ansatz up to ``order``, in the ansatz's factor order, with G the matrix
+    nested commutator of kron-built k-strings.  Every entry is a small
+    integer times a unit, so the arithmetic is exact; a generator left out
+    is exactly the zero matrix."""
+    k = np.array([label_matrix(lbl) for lbl in labels])
+    d = len(labels)
+    out = [("linear", (i,), k[i]) for i in range(d)]
+    pairs = list(combinations(range(d), 2))
+    if order >= 2:
+        out += [("pair", (i, j), -_bb(k[i], k[j])) for i, j in pairs]
+    if order >= 3:
+        for i, j in pairs:
+            inner = _bb(k[i], k[j])
+            out += [("triple_a", (i, j), _bb(k[i], inner)), ("triple_b", (i, j), _bb(k[j], inner))]
+    if order >= 4:
+
+        def nested(a, b, c, e):
+            return _bb(k[a], _bb(k[b], _bb(k[c], k[e])))
+
+        quads = list(combinations(range(d), 4))
+        for lo in range(0, len(quads), 256):  # stacks of 256 keep the arrays small
+            i, j, kk, ll = np.array(quads[lo : lo + 256]).T
+            c4 = nested(i, j, kk, ll) + 3 * nested(i, ll, j, kk) + 3 * nested(j, kk, ll, i)
+            c4 += nested(ll, j, kk, i)
+            out += [("quad", q, -g) for q, g in zip(quads[lo : lo + 256], c4)]
+    return [(kind, idx, g) for kind, idx, g in out if np.any(g)]
 
 
 def error_curve_oracle(h_labels: dict[str, float], k_c, h0_labels: dict[str, float], t_grid) -> np.ndarray:
@@ -126,6 +162,59 @@ def error_curve_oracle(h_labels: dict[str, float], k_c, h0_labels: dict[str, flo
         diff = exact - kdag @ core @ k_c
         errs.append(float(np.sqrt(max(np.linalg.eigvalsh(diff.conj().T @ diff)[-1], 0.0))))
     return np.asarray(errs)
+
+
+def conjugate_by_factor(
+    element: AlgebraElement, p: PauliString, w: float, angle: float, direction: int = 1
+) -> AlgebraElement:
+    """Analytic conjugation exp(i*d*angle*w*P) E exp(-i*d*angle*w*P).
+
+    Each term Q of E either commutes with P (unchanged) or rotates in the
+    plane {Q, bb(P,Q)}:
+
+        Q -> cos(2 phi) Q - (1/2) sin(2 phi) bb(P, Q),   phi = d*angle*w.
+    """
+    if direction not in (1, -1):
+        raise ConfigError(f"direction must be +1 or -1, got {direction}")
+    if p.n != element.n:
+        raise DimensionError(f"mixed qubit counts: {p.n} vs {element.n}")
+    phi = direction * angle * w
+    c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
+    acc: dict[PauliString, float] = {}
+    for q, cq in element.items():
+        hit = bracket_strings(p, q)
+        if hit is None:
+            acc[q] = acc.get(q, 0.0) + cq
+        else:
+            br, r = hit
+            acc[q] = acc.get(q, 0.0) + c2 * cq
+            acc[r] = acc.get(r, 0.0) - 0.5 * s2 * br * cq
+    return AlgebraElement(element.n, acc)
+
+
+def adjoint_K(ansatz, theta, element: AlgebraElement, side: str = "kdag_e_k") -> AlgebraElement:
+    """Conjugate an algebra element by K(theta), factor by factor, through
+    dictionaries: side "kdag_e_k" gives K^dag E K (the cost orientation),
+    side "k_e_kdag" gives K E K^dag (the h0-extraction orientation)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (ansatz.parameter_count,):
+        raise DimensionError(f"theta has shape {theta.shape}, expected ({ansatz.parameter_count},)")
+    if side == "kdag_e_k":
+        factors, direction = ansatz.factors, -1
+    elif side == "k_e_kdag":
+        factors, direction = ansatz.factors[::-1], 1
+    else:
+        raise ConfigError(f"side must be 'kdag_e_k' or 'k_e_kdag', got {side!r}")
+    out = element
+    for f in factors:
+        out = conjugate_by_factor(out, f.string, f.weight, f.coeff(theta), direction)
+    return out
+
+
+def cost(ansatz, theta, v, h: AlgebraElement) -> float:
+    """Reference trace cost tr(K^dag v K H) through adjoint_K."""
+    ve = v.element if isinstance(v, TargetV) else v
+    return hs_inner(adjoint_K(ansatz, theta, ve, side="kdag_e_k"), h)
 
 
 def reference_cost_and_grad(engine: CompiledAdjoint, theta, v, h):
@@ -149,19 +238,17 @@ def reference_cost_and_grad(engine: CompiledAdjoint, theta, v, h):
         return f, grad
 
     b = np.array(h, dtype=float, copy=True)
-    gsub = np.empty(tcount)
+    gphi = np.empty(tcount)
     for t in range(tcount - 1, -1, -1):
         qa, qb, sgn = engine._edges[engine.sub_edge[t]][:3]
-        gsub[t] = 2.0 * float(np.dot(sgn * e[qa], b[qb]))
+        gphi[t] = 2.0 * float(np.dot(sgn * e[qa], b[qb]))
         va = e[qa]
         e[qb] = c2[t] * e[qb] - s2[t] * (sgn * va)
         wa = b[qa]
         b[qb] = c2[t] * b[qb] - s2[t] * (sgn * wa)
-    gsub *= scale
+    gphi *= scale
 
-    gfac = np.bincount(
-        engine.sub_factor, weights=gsub * engine.sub_weight, minlength=len(engine.ansatz.factors)
-    )
+    gfac = gphi * engine.f_weight
     tx = theta[engine.m_idx]
     powed = np.power(tx, engine.m_pow)
     width = engine.m_idx.shape[1]

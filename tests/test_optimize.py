@@ -12,7 +12,6 @@ from cartansim.optimize import (
     COUNTERS,
     OptimizerOptions,
     bfgs_minimize,
-    cost,
     extract_h0,
     fd_gradient,
     initial_theta,
@@ -24,7 +23,7 @@ from cartansim.optimize import (
 from cartansim.pauli import AlgebraElement, hs_inner, parse_label, to_dense
 from cartansim.zassenhaus import build_ansatz, k_dense
 
-from oracles import gradient
+from oracles import adjoint_K, cost, gradient
 
 
 def strs(*labels):
@@ -362,8 +361,9 @@ def test_optimize_theta_propagates_when_all_starts_fail():
 
 def test_extract_h0_identity_case():
     h, dla, split, ansatz, v = tfim2_setup()
+    _, _, engine = make_cost_functions(ansatz, dla.strings, v, h, OptimizerOptions())
     h_in_span = AlgebraElement.from_label_dict({"XX": 0.7, "YY": -0.1})
-    h0, residual = extract_h0(ansatz, np.zeros(ansatz.parameter_count), h_in_span, split.h_basis)
+    h0, residual = extract_h0(engine, np.zeros(ansatz.parameter_count), h_in_span, split.h_basis)
     assert h0 == h_in_span and residual == 0.0
 
 
@@ -373,10 +373,12 @@ def test_extract_h0_pythagoras_and_engine_agreement():
     _, _, engine = make_cost_functions(ansatz, dla.strings, v, h, OptimizerOptions())
     for _ in range(10):
         theta = rng.uniform(-1, 1, size=ansatz.parameter_count)
-        h0, residual = extract_h0(ansatz, theta, h, split.h_basis)
-        e = hs_inner(h, h)  # conjugation preserves the norm
-        assert hs_inner(h0, h0) + residual**2 == pytest.approx(e, abs=1e-10)
-        h0e, residual_e = extract_h0(ansatz, theta, h, split.h_basis, engine=engine)
+        e = adjoint_K(ansatz, theta, h, side="k_e_kdag")
+        h0 = e.restricted(split.h_basis)
+        residual = (e - h0).norm()
+        assert hs_inner(h0, h0) + residual**2 == pytest.approx(hs_inner(h, h), abs=1e-10)
+        h0e, residual_e = extract_h0(engine, theta, h, split.h_basis)
+        assert hs_inner(h0e, h0e) + residual_e**2 == pytest.approx(hs_inner(h, h), abs=1e-10)
         assert h0e.allclose(h0, tol=1e-11)
         assert residual_e == pytest.approx(residual, abs=1e-11)
 

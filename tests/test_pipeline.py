@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +261,41 @@ def test_verify_rejects_edited_config(xy_record, tmp_path):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(NumericalError):
+        verify(path)
+
+
+TFIM_ORDER3 = Path(__file__).resolve().parents[1] / "runs" / "benchmark" / "05b74cf01034" / "record.json"
+
+
+def _add_seven(doc):
+    doc["factor_counts"] = {kind: c + 7 for kind, c in doc["factor_counts"].items()}
+
+
+def _drop_quad_key(doc):
+    del doc["factor_counts"]["quad"]
+
+
+def _add_three(doc):
+    doc["parameter_count"] += 3
+
+
+@pytest.mark.parametrize(
+    "edits, field",
+    [
+        ((_add_seven, _add_three), "factor_counts"),
+        ((_add_seven,), "factor_counts"),
+        ((_drop_quad_key,), "factor_counts"),
+        ((_add_three,), "parameter_count"),
+    ],
+)
+def test_verify_rejects_a_stored_ansatz_shape_the_builder_does_not_make(tmp_path, edits, field):
+    doc = json.loads(TFIM_ORDER3.read_text())
+    assert (doc["config"]["model"]["name"], doc["config"]["order"]) == ("tfim", 3)
+    for edit in edits:
+        edit(doc)
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NumericalError, match=field):
         verify(path)
 
 
