@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -43,13 +44,17 @@ def expm_hermitian(h: AlgebraElement | np.ndarray, t: float) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value, via the top eigenvalue of M^dag M."""
+    """Largest singular value, via the top eigenvalue of M^dag M.
+
+    An (s, b, b) stack stands for the block-diagonal matrix of its s blocks,
+    whose norm is the largest block norm; each block costs b^3, not (sb)^3.
+    """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError(f"spectral_norm expects a square matrix, got shape {m.shape}")
-    _check_dim(m.shape[0])
-    ev = np.linalg.eigvalsh(m.conj().T @ m)
-    top = float(ev[-1])
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ConfigError(f"spectral_norm expects a square matrix or a stack of them, got shape {m.shape}")
+    _check_dim(prod(m.shape[:-1]))
+    ev = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
+    top = float(ev[..., -1].max())
     return float(np.sqrt(max(top, 0.0)))
 
 
@@ -104,16 +109,63 @@ class ErrorCurve:
         return float(np.max(self.errors)) if len(self.errors) else 0.0
 
 
+def _xor_masks(a: np.ndarray) -> np.ndarray:
+    """Boolean table over x: is some entry a[r, c] with r ^ c = x nonzero?
+
+    Folds one index bit per step, highest first: the (r, c) quadrants with
+    equal top bits hold masks with that bit clear, the other two masks with
+    it set, and OR-ing each pair keeps the lower bits.  The work is O(dim^2)
+    and the largest temporary is a bool table, with no index arrays.
+    """
+    t = (a != 0)[None]
+    while t.shape[-1] > 1:
+        half = t.shape[-1] // 2
+        q = t.reshape(len(t), 2, half, 2, half)
+        t = np.stack([q[:, 0, :, 0] | q[:, 1, :, 1], q[:, 0, :, 1] | q[:, 1, :, 0]], axis=1)
+        t = t.reshape(-1, half, half)
+    return t.ravel()
+
+
+def _sectors(masks: list[int], dim: int) -> np.ndarray:
+    """Cosets of the GF(2) span of ``masks`` in 0..dim-1, one per row.
+
+    Each new basis vector is reduced by the earlier ones, in order, so it
+    holds none of their leading bits and all leading bits differ.  Every
+    coset then holds exactly one index with all leading bits clear: its
+    leader.  Rows are leader ^ span, all of size 2^rank.
+    """
+    basis: list[int] = []
+    for m in masks:
+        for v in basis:
+            m = min(m, m ^ v)  # clears v's leading bit, touches no higher bit
+        if m:
+            basis.append(m)
+    span = np.zeros(1, dtype=np.intp)
+    leading = 0
+    for v in basis:
+        span = np.concatenate([span, span ^ v])
+        leading |= 1 << (v.bit_length() - 1)
+    leaders = np.flatnonzero((np.arange(dim) & leading) == 0)
+    return leaders[:, None] ^ span
+
+
 def error_curve(
     h: AlgebraElement, k_c: np.ndarray, h0: AlgebraElement, t_grid: np.ndarray
 ) -> ErrorCurve:
     """|| e^{-iHt} - K_c^dag e^{-i h0 t} K_c ||_2 over a time grid.
 
-    With H = V diag(lam) V^dag and W = K_c V, this is
+    A string P = i^y X^x Z^z sends |b> to |b ^ x>, so H, K_c and e^{-i h0 t}
+    map each coset of the GF(2) span of their masks to itself: row ^ col of
+    every nonzero entry of H and K_c, and the x-masks of h0's strings.  In a
+    basis ordered by coset all three are block-diagonal with s blocks of
+    size b = dim/s, and the norm is the largest block norm.  A generic K_c
+    spans everything and gives one block.
+
+    Per block, with H = V diag(lam) V^dag and W = K_c V, the error is
     || e^{-i lam t} - W^dag (e^{-i h0 t} W) ||_2.  Per point, e^{-i h0 t} W
-    takes |h0| exact O(dim^2) string rotations (no eigensolve of h0), then
-    one product and one spectral norm.  Even-Y H and odd-Y K are real, and
-    so are V and W.
+    takes |h0| exact O(dim b) string rotations (no eigensolve of h0), then
+    the s blocks' products and norms run as one stack, s b^3 in place of
+    dim^3.  Even-Y H and odd-Y K are real, and so are V and W.
     """
     dim = 2**h.n
     _check_dim(dim)
@@ -122,16 +174,32 @@ def error_curve(
         raise DimensionError(f"K has shape {k_c.shape}, expected ({dim}, {dim})")
     rotations = _commuting_rotations(h0)
     m = to_dense(h)
+    masks = _xor_masks((m != 0) | (k_c != 0))
+    for _, (rows, _) in rotations:
+        masks[rows[0]] = True  # rows[0] = 0 ^ x is the string's x-mask
+    blocks = _sectors(np.flatnonzero(masks).tolist(), dim)
+    s, b = blocks.shape
+    # every rotation stays inside its block: a row gather on the coset-ordered (dim, b) W
+    order = blocks.ravel()
+    at = np.empty(dim, dtype=np.intp)
+    at[order] = np.arange(dim)
+    rotations = [(c, (at[rows[order]], g[order])) for c, (rows, g) in rotations]
+    pick = blocks[:, :, None], blocks[:, None, :]
+    m = m[pick]
     lam, vec = np.linalg.eigh(m if m.imag.any() else m.real)
-    w = (k_c if k_c.imag.any() else k_c.real) @ vec
-    wh = w.conj().T
+    k_c = k_c[pick]
+    w = ((k_c if k_c.imag.any() else k_c.real) @ vec).reshape(dim, b)
+    wh = w.reshape(s, b, b).conj().swapaxes(1, 2)
     ts = np.asarray(t_grid, dtype=float)
     errs = np.empty(len(ts))
     for i, t in enumerate(ts):
         cw = np.asarray(_commuting_exp(rotations, t, w), dtype=complex)
         # a real W^T multiplies CW's (re, im) pairs in one real product
-        diff = wh @ cw if wh.dtype == complex else (wh @ cw.view(float)).view(complex)
-        diff.flat[:: dim + 1] -= np.exp(-1j * lam * t)
+        if wh.dtype == complex:
+            diff = wh @ cw.reshape(s, b, b)
+        else:
+            diff = (wh @ cw.view(float).reshape(s, b, 2 * b)).view(complex)
+        diff.reshape(s, b * b)[:, :: b + 1] -= np.exp(-1j * lam * t)
         errs[i] = spectral_norm(diff)
     return ErrorCurve(ts, errs)
 

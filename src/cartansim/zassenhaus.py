@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ResourceLimitError, StructuralError
-from .pauli import DENSE_QUBIT_CAP, PauliString, apply_rotation, bracket_strings, string_rotation
+from .pauli import DENSE_QUBIT_CAP, PauliString, apply_rotation, bracket_strings, commutes, string_rotation
 
 #: Nested-commutator coefficients of the scalar Zassenhaus expansion
 #: e^{A+B} = e^A e^B e^{W2} e^{W3} e^{W4} ...  Shapes are left-nested
@@ -188,19 +188,32 @@ def build_ansatz(
             add("triple_b", (i, j), nested(k[j], k[i], k[j]), 1.0, triple_b_scale, ((i, 1), (j, 2)))
 
     if order >= 4:
-        for i, j, kk, ll in combinations(range(d), 4):
-            pi, pj, pk, pl = k[i], k[j], k[kk], k[ll]
-            # C4's brackets all land on one string, the product of the four
-            hits = [
-                (x * g[0], g[1])
-                for x, g in ((1.0, nested(pi, pj, pk, pl)), (3.0, nested(pi, pl, pj, pk)),
-                             (3.0, nested(pj, pk, pl, pi)), (1.0, nested(pl, pj, pk, pi)))
-                if g is not None
-            ]
-            w = sum(x for x, _ in hits)
-            if w:
-                g = w, hits[0][1]
-                add("quad", (i, j, kk, ll), g, -1.0, -1 / 24, ((i, 1), (j, 1), (kk, 1), (ll, 1)))
+        anti = np.array([[not commutes(p, q) for q in k] for p in k], dtype=bool)
+
+        def chain(a, b, c, e):
+            """Where bb(a, bb(b, bb(c, e))) != 0, elementwise over index arrays:
+            each argument must anticommute with the product of those to its
+            right, and the symplectic form is bilinear."""
+            return anti[c, e] & (anti[b, c] ^ anti[b, e]) & (anti[a, b] ^ anti[a, c] ^ anti[a, e])
+
+        js, ks, ls = np.ogrid[:d, :d, :d]
+        ordered = (js < ks) & (ks < ls)
+        for i in range(d):
+            # decide C4's four chains for every (j, kk, ll) before any bracket is taken
+            live = chain(i, js, ks, ls) | chain(i, ls, js, ks) | chain(js, ks, ls, i) | chain(ls, js, ks, i)
+            for j, kk, ll in zip(*(a.tolist() for a in np.nonzero(live & ordered & (js > i)))):
+                pi, pj, pk, pl = k[i], k[j], k[kk], k[ll]
+                # C4's brackets all land on one string, the product of the four
+                hits = [
+                    (x * g[0], g[1])
+                    for x, g in ((1.0, nested(pi, pj, pk, pl)), (3.0, nested(pi, pl, pj, pk)),
+                                 (3.0, nested(pj, pk, pl, pi)), (1.0, nested(pl, pj, pk, pi)))
+                    if g is not None
+                ]
+                w = sum(x for x, _ in hits)
+                if w:
+                    g = w, hits[0][1]
+                    add("quad", (i, j, kk, ll), g, -1.0, -1 / 24, ((i, 1), (j, 1), (kk, 1), (ll, 1)))
 
     return Ansatz(n, order, tuple(k_basis), tuple(factors))
 

@@ -111,6 +111,20 @@ def test_spectral_norm_unitary_invariance():
 def test_spectral_norm_rejects_nonsquare():
     with pytest.raises(ConfigError):
         spectral_norm(np.ones((2, 3)))
+    with pytest.raises(ConfigError):
+        spectral_norm(np.ones((4, 2, 3)))
+    with pytest.raises(ConfigError):
+        spectral_norm(np.ones((2, 2, 3, 3)))
+
+
+def test_spectral_norm_of_a_stack_is_the_block_diagonal_norm():
+    rng = np.random.default_rng(16)
+    stack = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+    stack[1] *= 4.0  # the largest block norm is not the first block's
+    assembled = scipy.linalg.block_diag(*stack)
+    assert spectral_norm(stack) == pytest.approx(spectral_norm(assembled), rel=1e-12)
+    assert spectral_norm(stack) == pytest.approx(power_norm(assembled), rel=1e-8)
+    assert spectral_norm(stack[:1]) == spectral_norm(stack[0])
 
 
 # --------------------------------------------------------------- exp_element
@@ -176,11 +190,29 @@ def test_fixed_depth_rejects_noncommuting_core():
 
 # ----------------------------------------------------------------- error_curve
 
-def test_error_curve_exact_decomposition_is_flat():
-    # H = ZZ already commutes with itself: K = I, h0 = H reproduces e^{-iHt}
+def sectors_used(monkeypatch, h, kc, h0, ts):
+    """The (sectors, size) shape error_curve ran with, and its errors."""
+    shapes = []
+    sectors = evolution._sectors
+
+    def spy(masks, dim):
+        blocks = sectors(masks, dim)
+        shapes.append(blocks.shape)
+        return blocks
+
+    monkeypatch.setattr(evolution, "_sectors", spy)
+    errors = error_curve(h, kc, h0, ts).errors
+    assert len(shapes) == 1
+    return shapes[0], errors
+
+
+def test_error_curve_exact_decomposition_is_flat(monkeypatch):
+    # H = ZZ already commutes with itself: K = I, h0 = H reproduces e^{-iHt}.
+    # Nothing moves a basis state, so every state is its own sector.
     h = AlgebraElement.from_label_dict({"ZZ": 1.0})
-    curve = error_curve(h, np.eye(4, dtype=complex), h, np.linspace(0, 10, 21))
-    assert curve.max_error < 1e-10
+    shape, errors = sectors_used(monkeypatch, h, np.eye(4, dtype=complex), h, np.linspace(0, 10, 21))
+    assert shape == (4, 1)
+    assert errors.max() < 1e-10
 
 
 def test_error_curve_t_zero_row():
@@ -276,6 +308,94 @@ def test_error_curve_rejects_mismatched_k():
     h, split = tfim2_decomposition()
     with pytest.raises(DimensionError):
         error_curve(h, np.eye(2, dtype=complex), h, np.array([1.0]))
+
+
+def xor_span(masks):
+    span = {0}
+    for m in masks:
+        span |= {s ^ m for s in span}
+    return span
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 64])
+def test_sectors_are_the_cosets_of_the_mask_span(dim):
+    rng = np.random.default_rng(dim)
+    for count in range(6):
+        masks = [int(m) for m in rng.integers(0, dim, size=count)]
+        span = xor_span(masks)
+        blocks = evolution._sectors(masks, dim)
+        assert blocks.shape == (dim // len(span), len(span))
+        assert sorted(blocks.ravel().tolist()) == list(range(dim))
+        for row in blocks.tolist():
+            assert set(row) == {row[0] ^ s for s in span}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 32])
+def test_xor_masks_match_the_nonzero_entries(dim):
+    rng = np.random.default_rng(dim)
+    for density in (0.0, 0.05, 0.3, 1.0):
+        a = (rng.random((dim, dim)) < density) * (rng.normal(size=(dim, dim)) + 1j)
+        rows, cols = np.nonzero(a)
+        want = np.zeros(dim, dtype=bool)
+        want[rows ^ cols] = True
+        assert np.array_equal(evolution._xor_masks(a), want)
+
+
+def generic_k_and_h0(rng, split, n):
+    ansatz = build_ansatz(split.k_basis, order=1, n=n)
+    kc = k_dense(ansatz, rng.uniform(-1, 1, size=ansatz.parameter_count))
+    return kc, AlgebraElement(n, {p: float(rng.normal()) for p in split.h_basis})
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [("tfim", 4), ("xy", 4), ("tfxy", 4), ("heisenberg", 4), ("kitaev_even", 4), ("kitaev_odd", 5),
+     ("kitaev_even", 8), ("xy", 9), ("kitaev_even", 10)],
+)
+def test_error_curve_runs_the_models_in_two_parity_sectors(name, n, monkeypatch):
+    # every x-mask of H, of the k-basis and of h has even weight
+    rng = np.random.default_rng(n)
+    h, split = model_split(name, n)
+    kc, h0 = generic_k_and_h0(rng, split, n)
+    ts = ORACLE_TS if n <= 8 else np.array([20.0])  # the kron oracle is slow above dim 256
+    shape, got = sectors_used(monkeypatch, h, kc, h0, ts)
+    assert shape == (2, 2 ** (n - 1))
+    if n <= 8:
+        want = error_curve_oracle(labels(h), kc, labels(h0), ts)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_error_curve_abelian_xy_two_sites(monkeypatch):
+    # the DLA is abelian: an empty k-basis, K = I and h0 = H
+    h, split = model_split("xy", 2)
+    assert split.k_basis == ()
+    kc = k_dense(build_ansatz(split.k_basis, order=1, n=2), np.zeros(0))
+    shape, got = sectors_used(monkeypatch, h, kc, h, ORACLE_TS)
+    assert shape == (2, 2)
+    assert got.max() < 1e-13
+    assert np.max(np.abs(got - error_curve_oracle(labels(h), kc, labels(h), ORACLE_TS))) < 1e-12
+
+
+def test_error_curve_generic_unitary_k_mixes_the_sectors(monkeypatch):
+    rng = np.random.default_rng(78)
+    h, split = model_split("tfim", 4)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    kc = scipy.linalg.expm(-1j * (a + a.conj().T))
+    h0 = AlgebraElement(4, {p: float(rng.normal()) for p in split.h_basis})
+    shape, got = sectors_used(monkeypatch, h, kc, h0, ORACLE_TS)
+    assert shape == (1, 16)
+    assert np.max(np.abs(got - error_curve_oracle(labels(h), kc, labels(h0), ORACLE_TS))) < 1e-12
+
+
+def test_error_curve_h0_strings_join_the_sectors(monkeypatch):
+    # H and K are diagonal; only h0's XX moves a basis state, pairing 00-11 and 01-10
+    h = AlgebraElement.from_label_dict({"ZZ": 1.0, "ZI": 0.6})
+    h0 = AlgebraElement.from_label_dict({"XX": 0.8, "ZZ": 0.3})
+    kc = np.eye(4, dtype=complex)
+    shape, got = sectors_used(monkeypatch, h, kc, h0, ORACLE_TS)
+    assert shape == (2, 2)
+    assert got.max() > 0.1
+    assert np.max(np.abs(got - error_curve_oracle(labels(h), kc, labels(h0), ORACLE_TS))) < 1e-12
 
 
 # ---------------------------------------------------------- truncated product
@@ -425,6 +545,8 @@ def test_trotter_sweep_record():
 def test_dense_cap_enforced():
     with pytest.raises(ResourceLimitError):  # a zero-stride view: no 512 MiB matrix
         spectral_norm(np.broadcast_to(0.0, (8192, 8192)))
+    with pytest.raises(ResourceLimitError):  # a stack of 3 blocks of 2048 stands for dim 6144
+        spectral_norm(np.broadcast_to(0.0, (3, 2048, 2048)))
 
 
 def test_dense_cap_raised_before_allocation(monkeypatch):
