@@ -188,7 +188,9 @@ def error_curve(
     m = m[pick]
     lam, vec = np.linalg.eigh(m if m.imag.any() else m.real)
     k_c = k_c[pick]
-    w = ((k_c if k_c.imag.any() else k_c.real) @ vec).reshape(dim, b)
+    if np.iscomplexobj(k_c) and not k_c.imag.any():
+        k_c = k_c.real
+    w = (k_c @ vec).reshape(dim, b)
     wh = w.reshape(s, b, b).conj().swapaxes(1, 2)
     ts = np.asarray(t_grid, dtype=float)
     errs = np.empty(len(ts))

@@ -10,6 +10,7 @@ offline from its record file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -23,11 +24,19 @@ import numpy as np
 from .adjoint import CompiledAdjoint
 from .errors import CartanSimError, ConfigError, NumericalError
 from .evolution import ErrorCurve, error_curve, trotter_sweep, truncation_slope
-from .lie import cartan_split, check_hamiltonian_in_m, generate_dla, require_valid_split
+from .lie import (
+    CartanSplit,
+    DlaBasis,
+    cartan_split,
+    check_hamiltonian_in_m,
+    generate_dla,
+    require_valid_split,
+)
 from .models import ModelSpec, build_model, default_benchmark_specs
 from .optimize import (
     OptimizationResult,
     OptimizerOptions,
+    TargetV,
     extract_h0,
     make_cost_functions,
     make_target_v,
@@ -36,7 +45,7 @@ from .optimize import (
 )
 from .pauli import AlgebraElement, commutes
 from .svgplot import line_plot
-from .zassenhaus import VARIANTS, build_ansatz, k_dense
+from .zassenhaus import VARIANTS, Ansatz, build_ansatz, k_dense
 
 FORMATS = ("csv", "json", "svg")
 RECORD_VERSION = "1"
@@ -97,8 +106,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunConfig":
-        known = {k for k in cls.__dataclass_fields__}
-        extra = set(d) - known
+        extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         kwargs = dict(d)
@@ -117,8 +125,6 @@ class RunConfig:
         return cls(**kwargs)
 
     def config_hash(self) -> str:
-        import hashlib
-
         payload = self.to_dict()
         for routing_only in ("output_dir", "formats", "workers"):
             payload.pop(routing_only)
@@ -186,8 +192,8 @@ class RunRecord:
 class _StageClock:
     """Name the pipeline stage an error came from, and time each stage."""
 
-    def __init__(self) -> None:
-        self.timings_ms: dict[str, float] = {}
+    def __init__(self, timings_ms: dict[str, float] | None = None) -> None:
+        self.timings_ms = {} if timings_ms is None else timings_ms
 
     def run(self, stage: str, fn, *args, **kwargs):
         t0 = time.perf_counter()
@@ -201,35 +207,56 @@ class _StageClock:
         return out
 
 
-def _rebuild(config: RunConfig):
-    """Model -> DLA -> split -> ansatz chain shared by run and verify paths."""
-    h = build_model(config.model)
-    terms = [p for p, _ in h.sorted_terms()]
-    dla = generate_dla(terms)
-    check_hamiltonian_in_m(h)
-    split = cartan_split(dla, terms)
-    require_valid_split(split)
-    ansatz = build_ansatz(split.k_basis, config.order, variant=config.variant, n=h.n)
-    return h, dla, split, ansatz
+@dataclass(frozen=True)
+class Problem:
+    """The structure of one configuration: model -> DLA -> split -> ansatz -> v."""
+
+    h: AlgebraElement
+    dla: DlaBasis
+    split: CartanSplit
+    ansatz: Ansatz
+    v: TargetV
+    timings_ms: dict[str, float]
+
+
+#: the last build of this process, keyed by config hash; holds at most one
+LAST_PROBLEM: dict[str, Problem] = {}
+
+
+def build_problem(config: RunConfig) -> Problem:
+    """Run the build stages once per configuration, each under the stage clock.
+
+    Decompose, curve and verify of one configuration share one build; a
+    new configuration drops the old build before it is built.
+    """
+    key = config.config_hash()
+    if key not in LAST_PROBLEM:
+        LAST_PROBLEM.clear()
+        clock = _StageClock()
+        h = clock.run("build_model", build_model, config.model)
+        terms = [p for p, _ in h.sorted_terms()]
+        dla = clock.run("generate_dla", generate_dla, terms)
+        clock.run("check_hamiltonian_in_m", check_hamiltonian_in_m, h)
+        split = clock.run("cartan_split", cartan_split, dla, terms)
+        clock.run("require_valid_split", require_valid_split, split)
+        ansatz = clock.run(
+            "build_ansatz", build_ansatz, split.k_basis, config.order, variant=config.variant, n=h.n
+        )
+        v = clock.run("make_target_v", make_target_v, split.h_basis)
+        LAST_PROBLEM[key] = Problem(h, dla, split, ansatz, v, clock.timings_ms)
+    return LAST_PROBLEM[key]
 
 
 def run_decompose(config: RunConfig, persist: bool = True) -> RunRecord:
     """Full decompose + optimize pipeline, persisted as a RunRecord.
 
     Stage errors carry a ``.stage`` attribute naming where the pipeline
-    stopped; the record is written only on success.
+    stopped; the record is written only on success.  ``timings_ms`` holds
+    the build stages of the configuration's one build, then these stages.
     """
-    clock = _StageClock()
-    h = clock.run("build_model", build_model, config.model)
-    terms = [p for p, _ in h.sorted_terms()]
-    dla = clock.run("generate_dla", generate_dla, terms)
-    clock.run("check_hamiltonian_in_m", check_hamiltonian_in_m, h)
-    split = clock.run("cartan_split", cartan_split, dla, terms)
-    clock.run("require_valid_split", require_valid_split, split)
-    ansatz = clock.run(
-        "build_ansatz", build_ansatz, split.k_basis, config.order, variant=config.variant, n=h.n
-    )
-    v = clock.run("make_target_v", make_target_v, split.h_basis)
+    prob = build_problem(config)
+    h, dla, split, ansatz, v = prob.h, prob.dla, prob.split, prob.ansatz, prob.v
+    clock = _StageClock(dict(prob.timings_ms))
     cost_fn, grad_fn, engine = clock.run(
         "make_cost_functions", make_cost_functions, ansatz, dla.strings, v, h, config.optimizer
     )
@@ -262,26 +289,17 @@ def run_decompose(config: RunConfig, persist: bool = True) -> RunRecord:
         optimizer_counters=dict(result.counters),
     )
     if persist:
-        _persist_decompose(record, v, h)
+        run_dir = config.run_dir()
+        run_dir.mkdir(parents=True, exist_ok=True)
+        if "csv" in config.formats:
+            lines = ["iteration,cost,normalized_cost,grad_inf_norm"]
+            for it, f, ginf in record.cost_trace:
+                lines.append(f"{int(it)},{f!r},{normalized_cost(f, v, h)!r},{ginf!r}")
+            (run_dir / "cost_trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            record.artifacts["cost_trace_csv"] = "cost_trace.csv"
+        record.artifacts["record"] = "record.json"
+        record.save(run_dir / "record.json")
     return record
-
-
-def _persist_decompose(record: RunRecord, v, h) -> None:
-    run_dir = record.config.run_dir()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in record.config.formats:
-        trace_path = run_dir / "cost_trace.csv"
-        _write_cost_trace_csv(trace_path, record.cost_trace, v, h)
-        record.artifacts["cost_trace_csv"] = trace_path.name
-    record.artifacts["record"] = "record.json"
-    record.save(run_dir / "record.json")
-
-
-def _write_cost_trace_csv(path: Path, trace: Sequence[Sequence], v, h) -> None:
-    lines = ["iteration,cost,normalized_cost,grad_inf_norm"]
-    for it, f, ginf in trace:
-        lines.append(f"{int(it)},{f!r},{normalized_cost(f, v, h)!r},{ginf!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_error_curve(config: RunConfig, record: RunRecord | None = None) -> RunRecord:
@@ -295,19 +313,18 @@ def run_error_curve(config: RunConfig, record: RunRecord | None = None) -> RunRe
         record = run_decompose(config)
     elif record.config_hash != config.config_hash():
         raise ConfigError("record was produced by a different configuration")
-    clock = _StageClock()
-    h, dla, split, ansatz = clock.run("rebuild", _rebuild, config)
+    prob = build_problem(config)
+    clock = _StageClock(record.timings_ms)
     theta = np.asarray(record.theta_star, dtype=float)
-    k_c = clock.run("k_dense", k_dense, ansatz, theta)
+    k_c = clock.run("k_dense", k_dense, prob.ansatz, theta)
     h0 = AlgebraElement.from_records(record.h0, n=config.model.n)
     # one pass over the grid with table_t appended, sliced back apart
     t_grid = np.append(np.linspace(0.0, config.t_max, config.t_points), config.table_t)
-    both = clock.run("error_curve", error_curve, h, k_c, h0, t_grid)
+    both = clock.run("error_curve", error_curve, prob.h, k_c, h0, t_grid)
     curve = ErrorCurve(both.ts[:-1], both.errors[:-1])
     record.curve_ts = [float(t) for t in curve.ts]
     record.curve_errors = [float(e) for e in curve.errors]
     record.error_at_table_t = float(both.errors[-1])
-    record.timings_ms.update(clock.timings_ms)
 
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -357,33 +374,23 @@ def benchmark_configs(
 
 def _benchmark_cell(config: RunConfig) -> dict:
     t0 = time.perf_counter()
+    row = {"model": config.model.name, "order": config.order, "n": config.model.n}
     try:
         record = run_error_curve(config)
-        return {
-            "model": config.model.name,
-            "order": config.order,
-            "n": config.model.n,
-            "error_at_t": record.error_at_table_t,
-            "converged": record.converged,
-            "residual": record.residual_fro,
-            "dla_dim": record.dla_dim,
-            "iters": record.iterations,
-            "wall_ms": round((time.perf_counter() - t0) * 1e3, 3),
-            "error": None,
-        }
     except CartanSimError as err:
-        return {
-            "model": config.model.name,
-            "order": config.order,
-            "n": config.model.n,
-            "error_at_t": None,
-            "converged": False,
-            "residual": None,
-            "dla_dim": None,
-            "iters": None,
-            "wall_ms": round((time.perf_counter() - t0) * 1e3, 3),
-            "error": f"{getattr(err, 'stage', 'run')}: {err}",
-        }
+        row.update(error_at_t=None, converged=False, residual=None, dla_dim=None, iters=None)
+        error = f"{getattr(err, 'stage', 'run')}: {err}"
+    else:
+        row.update(
+            error_at_t=record.error_at_table_t,
+            converged=record.converged,
+            residual=record.residual_fro,
+            dla_dim=record.dla_dim,
+            iters=record.iterations,
+        )
+        error = None
+    row.update(wall_ms=round((time.perf_counter() - t0) * 1e3, 3), error=error)
+    return row
 
 
 def run_benchmark(configs: Sequence[RunConfig] | None = None, **overrides) -> dict:
@@ -452,26 +459,24 @@ def run_cost_trace(config: RunConfig, orders: Sequence[int] = (1, 2, 3, 4)) -> d
     """
     if not orders:
         raise ConfigError("run_cost_trace needs at least one order")
-    # The Cartan split (hence v and the normalization) is order-independent.
-    h, _, split, _ = _rebuild(replace(config, order=orders[0]))
-    v = make_target_v(split.h_basis)
     summary: dict[int, dict] = {}
     series = []
     for order in orders:
         cfg = replace(config, order=order)
+        prob = build_problem(cfg)
         record = run_decompose(cfg)
         summary[order] = {
             "iterations": record.iterations,
             "converged": record.converged,
             "final_cost": record.final_cost,
-            "final_normalized_cost": normalized_cost(record.final_cost, v, h),
+            "final_normalized_cost": normalized_cost(record.final_cost, prob.v, prob.h),
             "record_dir": str(cfg.run_dir()),
         }
         series.append(
             (
                 f"order {order}",
                 [row[0] for row in record.cost_trace],
-                [normalized_cost(row[1], v, h) for row in record.cost_trace],
+                [normalized_cost(row[1], prob.v, prob.h) for row in record.cost_trace],
             )
         )
     if "svg" in config.formats:
@@ -563,31 +568,26 @@ def verify(record_path: str | Path) -> RunRecord:
             f"stored hash {record.config_hash[:12]} does not match the config "
             f"({config.config_hash()[:12]}); the record was edited"
         )
-    h, dla, split, ansatz = _rebuild(config)
-    if dla.dim != record.dla_dim:
-        raise NumericalError(f"DLA dimension {dla.dim} != stored {record.dla_dim}")
-    if ansatz.factor_counts() != record.factor_counts:
-        raise NumericalError(
-            f"factor_counts {ansatz.factor_counts()} != stored {record.factor_counts}"
-        )
-    if ansatz.parameter_count != record.parameter_count:
-        raise NumericalError(
-            f"parameter_count {ansatz.parameter_count} != stored {record.parameter_count}"
-        )
+    prob = build_problem(config)
+    for name, built, stored in (
+        ("dla_dim", prob.dla.dim, record.dla_dim),
+        ("factor_counts", prob.ansatz.factor_counts(), record.factor_counts),
+        ("parameter_count", prob.ansatz.parameter_count, record.parameter_count),
+    ):
+        if built != stored:
+            raise NumericalError(f"{name} {built} != stored {stored}")
     theta = np.asarray(record.theta_star, dtype=float)
-    engine = CompiledAdjoint(ansatz, dla.strings)
-    h0, residual = extract_h0(engine, theta, h, split.h_basis)
+    engine = CompiledAdjoint(prob.ansatz, prob.dla.strings)
+    h0, residual = extract_h0(engine, theta, prob.h, prob.split.h_basis)
     if abs(residual - record.residual_fro) > VERIFY_TOL:
-        raise NumericalError(
-            f"residual recomputed as {residual!r} != stored {record.residual_fro!r}"
-        )
+        raise NumericalError(f"residual_fro {residual!r} != stored {record.residual_fro!r}")
     stored_h0 = AlgebraElement.from_records(record.h0, n=config.model.n)
     if not h0.allclose(stored_h0, tol=VERIFY_TOL):
         raise NumericalError("h0 coefficients do not reproduce from theta*")
     if record.curve_ts is not None:
-        k_c = k_dense(ansatz, theta)
+        k_c = k_dense(prob.ansatz, theta)
         t_grid = np.append(record.curve_ts, config.table_t)
-        fresh = error_curve(h, k_c, stored_h0, t_grid).errors
+        fresh = error_curve(prob.h, k_c, stored_h0, t_grid).errors
         diff = np.max(np.abs(fresh[:-1] - np.asarray(record.curve_errors)))
         if diff > VERIFY_TOL:
             raise NumericalError(f"error curve drifts by {diff:.3e} > {VERIFY_TOL}")

@@ -223,7 +223,7 @@ def k_dense(ansatz: Ansatz, theta: np.ndarray, qubit_cap: int = DENSE_QUBIT_CAP)
 
     Each factor exp(i c w P) = cos(c w) I + i sin(c w) P is applied to the
     left of the running matrix, last factor first, as an O(dim^2) row
-    gather.  Odd-Y strings (all of k) keep the work in real arithmetic.
+    gather.  Odd-Y strings (all of k) keep the work, and K, real.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ansatz.parameter_count,):
@@ -238,4 +238,4 @@ def k_dense(ansatz: Ansatz, theta: np.ndarray, qubit_cap: int = DENSE_QUBIT_CAP)
         if f.string not in rotations:
             rotations[f.string] = string_rotation(f.string)
         out = apply_rotation(out, rotations[f.string], -f.coeff(theta) * f.weight)
-    return out.astype(complex)
+    return out

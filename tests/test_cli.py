@@ -179,10 +179,14 @@ def test_benchmark_cell_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
 def test_stage_name_reported_on_failure(tmp_path, capsys, monkeypatch):
     from cartansim import CapacityError
 
+    assert run_cli("decompose", *XY, "--output", str(tmp_path)) == 0
+    path = record_path_from(capsys)
+    pipeline.LAST_PROBLEM.clear()
+
     def boom(terms, cap=None):
         raise CapacityError("too big")
 
     monkeypatch.setattr(pipeline, "generate_dla", boom)
-    code = run_cli("decompose", *XY, "--output", str(tmp_path))
-    assert code == 3
-    assert "[generate_dla]" in capsys.readouterr().err
+    for argv in (("decompose", *XY, "--output", str(tmp_path)), ("verify", path)):
+        assert run_cli(*argv) == 3
+        assert "[generate_dla]" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -188,13 +189,65 @@ def test_reruns_are_bit_identical(tmp_path):
 
 
 def test_stage_error_carries_stage_name(tmp_path, monkeypatch):
+    config = xy_config(tmp_path)
+    record = run_decompose(config)
+    pipeline.LAST_PROBLEM.clear()
+
     def boom(terms, cap=None):
         raise CapacityError("too big")
 
     monkeypatch.setattr(pipeline, "generate_dla", boom)
-    with pytest.raises(CapacityError) as err:
-        run_decompose(xy_config(tmp_path))
-    assert err.value.stage == "generate_dla"
+    for run in (
+        lambda: run_decompose(config),
+        lambda: run_error_curve(config, record),
+        lambda: verify(config.run_dir() / "record.json"),
+    ):
+        with pytest.raises(CapacityError) as err:
+            run()
+        assert err.value.stage == "generate_dla"
+
+
+def test_one_build_per_configuration(tmp_path, monkeypatch):
+    calls = Counter()
+    held = []  # builds the pipeline holds while it builds
+
+    def spy(name):
+        real = getattr(pipeline, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            held.append(len(pipeline.LAST_PROBLEM))
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("generate_dla", "build_ansatz"):
+        monkeypatch.setattr(pipeline, name, spy(name))
+    config = xy_config(tmp_path, t_points=3)
+    path = config.run_dir() / "record.json"
+    run_error_curve(config, run_decompose(config))
+    verify(path)
+    assert calls == {"generate_dla": 1, "build_ansatz": 1}
+
+    # another configuration in between drops the first build
+    run_decompose(replace(config, order=2))
+    verify(path)
+    assert calls == {"generate_dla": 3, "build_ansatz": 3}
+    assert held == [0] * 6 and len(pipeline.LAST_PROBLEM) == 1
+
+
+def test_reused_build_gives_the_same_floats(tmp_path):
+    config = xy_config(tmp_path, model=ModelSpec("tfim", 4), order=2, t_points=5)
+    first = run_error_curve(config, run_decompose(config))
+    reused = run_error_curve(config, run_decompose(config))  # the build the first run used
+    pipeline.LAST_PROBLEM.clear()
+    fresh = run_decompose(config)
+    pipeline.LAST_PROBLEM.clear()
+    fresh = run_error_curve(config, fresh)
+    for record in (reused, fresh):
+        assert record.theta_star == first.theta_star
+        assert record.cost_trace == first.cost_trace
+        assert record.curve_errors == first.curve_errors
 
 
 # -------------------------------------------------------------------- curve

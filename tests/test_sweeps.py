@@ -16,8 +16,8 @@ from cartansim import (
     default_benchmark_specs,
 )
 from cartansim import adjoint
-from cartansim.optimize import _fd_hessian, make_cost_functions, make_target_v
-from cartansim.pipeline import _rebuild
+from cartansim.optimize import _fd_hessian, make_cost_functions
+from cartansim.pipeline import build_problem
 
 from oracles import reference_cost_and_grad
 
@@ -31,8 +31,8 @@ def grid_id(cell):
 
 @lru_cache(maxsize=None)
 def setup(spec, order):
-    h, dla, split, ansatz = _rebuild(RunConfig(model=spec, order=order))
-    return h, dla, split, ansatz, make_target_v(split.h_basis)
+    p = build_problem(RunConfig(model=spec, order=order))
+    return p.h, p.dla, p.split, p.ansatz, p.v
 
 
 def closures(spec, order, **opts):

@@ -262,7 +262,7 @@ def test_k_dense_matches_matmul_oracle_on_grid_models(grid_k_bases, name, order)
     ansatz = build_ansatz(grid_k_bases[name], order=order)
     theta = np.random.default_rng(order).uniform(-1.2, 1.2, size=ansatz.parameter_count)
     u = k_dense(ansatz, theta)
-    assert u.dtype == complex
+    assert u.dtype == np.float64
     assert np.max(np.abs(u - k_dense_oracle(ansatz, theta))) < 1e-13
 
 
