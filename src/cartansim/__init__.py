@@ -11,7 +11,7 @@ Layering (each module only reaches downward):
     lie         DLA closure, involution split, commuting subalgebra
     zassenhaus  product ansatz K(theta), one signed k-string per factor
     adjoint     the ansatz's adjoint action compiled to sparse rotations
-    optimize    BFGS with Armijo/Wolfe line search, cost/gradient plumbing
+    optimize    BFGS with Armijo backtracking, analytic cost/gradient plumbing
     evolution   dense verification: exact propagators, error curves, Trotter
     models      named spin-chain Hamiltonians
     pipeline    end-to-end runs, records, benchmark grid

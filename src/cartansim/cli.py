@@ -33,12 +33,11 @@ from .pipeline import (
 
 DEFAULT_MODEL = "tfim"
 
-# flag -> (config section, key); None section means top level
+# flag dest -> key of the config's "optimizer" section
 _OPTIMIZER_FLAGS = {
     "seed": "seed",
     "tol": "tol_grad_inf",
     "max_iters": "max_iters",
-    "grad": "grad_mode",
     "multi_start": "multi_start",
 }
 _TOP_FLAGS = ("order", "t_max", "t_points", "table_t")
@@ -53,7 +52,6 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="RNG seed for the initial point")
     p.add_argument("--tol", type=float, help="gradient infinity-norm tolerance")
     p.add_argument("--max-iters", type=int, dest="max_iters", help="iteration cap")
-    p.add_argument("--grad", choices=("fd", "analytic"), help="gradient mode")
     p.add_argument(
         "--multi-start", type=int, dest="multi_start",
         help="number of seeded starts; the lowest final cost wins",

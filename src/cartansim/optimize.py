@@ -49,29 +49,13 @@ def make_target_v(h_basis: Sequence[PauliString]) -> TargetV:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    grad_mode: str = "analytic"  # "analytic" | "fd"
-    fd_step: float = 1e-6
     tol_grad_inf: float = 1e-10
     max_iters: int = 5000
-    armijo_c1: float = 1e-4
-    backtrack_rho: float = 0.5
-    wolfe_c2: float = 0.9
-    line_search: str = "armijo"  # "armijo" | "wolfe"
     seed: int = 7
     init_scale: float = 0.01
     multi_start: int = 1
 
     def __post_init__(self) -> None:
-        if self.grad_mode not in ("analytic", "fd"):
-            raise ConfigError(f"grad_mode must be 'analytic' or 'fd', got {self.grad_mode!r}")
-        if self.line_search not in ("armijo", "wolfe"):
-            raise ConfigError(f"line_search must be 'armijo' or 'wolfe', got {self.line_search!r}")
-        if not 0 < self.armijo_c1 < self.wolfe_c2 < 1:
-            raise ConfigError("need 0 < armijo_c1 < wolfe_c2 < 1")
-        if not 0 < self.backtrack_rho < 1:
-            raise ConfigError("need 0 < backtrack_rho < 1")
-        if self.fd_step <= 0:
-            raise ConfigError("fd_step must be positive")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if self.multi_start < 1:
@@ -80,7 +64,7 @@ class OptimizerOptions:
 
 #: What a minimization did, counted by bfgs_minimize and summed over starts
 #: by optimize_theta.  grad_evals includes the 2m gradients of every polish
-#: Hessian; forward_reuses counts the gradients that an analytic grad_fn of
+#: Hessian; forward_reuses counts the gradients that the grad_fn of
 #: make_cost_functions answered from the forward sweep of the cost evaluation
 #: just before (a grad_fn without that memo, or one wrapped in a plain
 #: function, reports none).  metric_resets put the inverse Hessian back to
@@ -100,8 +84,6 @@ class OptimizationResult:
     theta_star: np.ndarray
     cost_trace: list[tuple[int, float, float]]  # (iteration, f, grad inf-norm)
     converged: bool
-    h0: AlgebraElement | None = None
-    residual_fro: float | None = None
     counters: dict[str, int] = field(default_factory=lambda: dict.fromkeys(COUNTERS, 0))
 
     @property
@@ -127,32 +109,18 @@ def initial_theta(parameter_count: int, options: OptimizerOptions) -> np.ndarray
     return rng.uniform(-options.init_scale, options.init_scale, size=parameter_count)
 
 
-def fd_gradient(cost_fn: Callable[[np.ndarray], float], theta: np.ndarray, step: float) -> np.ndarray:
-    """Central finite differences, one coordinate at a time."""
-    theta = np.asarray(theta, dtype=float)
-    g = np.zeros_like(theta)
-    for i in range(theta.size):
-        up = theta.copy()
-        up[i] += step
-        dn = theta.copy()
-        dn[i] -= step
-        g[i] = (cost_fn(up) - cost_fn(dn)) / (2 * step)
-    return g
-
-
 def make_cost_functions(
     ansatz: Ansatz,
     basis: Sequence[PauliString],
     v: TargetV,
     h: AlgebraElement,
-    options: OptimizerOptions,
 ) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray], CompiledAdjoint]:
     """Engine-backed cost/grad closures over a fixed closed basis.
 
-    cost_fn keeps the forward sweep of the last point it evaluated, and an
-    analytic grad_fn at exactly that point (bit for bit) reuses it and runs
-    only the backward sweep.  The minimizer asks for the gradient right
-    after the cost at every accepted step and polish point.
+    cost_fn keeps the forward sweep of the last point it evaluated, and
+    grad_fn at exactly that point (bit for bit) reuses it and runs only the
+    backward sweep.  The minimizer asks for the gradient right after the
+    cost at every accepted step and polish point.
     """
     engine = CompiledAdjoint(ansatz, basis)
     v_vec = engine.vector(v.element)
@@ -165,17 +133,11 @@ def make_cost_functions(
         last[:] = theta.copy(), e
         return engine.trace(e, h_vec)
 
-    if options.grad_mode == "fd":
-        def grad_fn(theta: np.ndarray) -> np.ndarray:
-            return fd_gradient(cost_fn, theta, options.fd_step)
-    else:
-        grad_fn = _EngineGradient(engine, v_vec, h_vec, last)
-
-    return cost_fn, grad_fn, engine
+    return cost_fn, _EngineGradient(engine, v_vec, h_vec, last), engine
 
 
 class _EngineGradient:
-    """The analytic grad_fn of make_cost_functions.
+    """The grad_fn of make_cost_functions: the engine's analytic gradient.
 
     ``last`` is the cost closure's [point, forward state]; a call at exactly
     that point takes the forward state from it and adds one to
@@ -203,13 +165,15 @@ class _EngineGradient:
         return self.engine.cost_and_grad(points, self.v_vec, self.h_vec)[1]
 
 
+_ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
+_BACKTRACK_RHO = 0.5  # step shrink factor per backtrack
 _MAX_BACKTRACKS = 60
 _HESSIAN_COLUMNS = 16  # columns of the polish Hessian per lanes call
 _STEP_CAP = 2.0  # trial-direction length cap (trust-region-style safeguard)
 
 
-def _line_search(cost_fn, theta, f, g, p, options) -> tuple[float, np.ndarray, float] | None:
-    """Armijo backtracking; returns (alpha, theta_new, f_new) or None.
+def _armijo_backtrack(cost_fn, theta, f, g, p) -> tuple[np.ndarray, float] | None:
+    """Armijo backtracking; returns (theta_new, f_new) or None.
 
     The sufficient-decrease test is evaluated on the computed float values,
     so once improvements shrink below the resolution of f the accepted steps
@@ -222,9 +186,9 @@ def _line_search(cost_fn, theta, f, g, p, options) -> tuple[float, np.ndarray, f
     for _ in range(_MAX_BACKTRACKS):
         theta_new = theta + alpha * p
         f_new = cost_fn(theta_new)
-        if np.isfinite(f_new) and f_new <= f + options.armijo_c1 * alpha * slope:
-            return alpha, theta_new, f_new
-        alpha *= options.backtrack_rho
+        if np.isfinite(f_new) and f_new <= f + _ARMIJO_C1 * alpha * slope:
+            return theta_new, f_new
+        alpha *= _BACKTRACK_RHO
     return None
 
 
@@ -252,7 +216,7 @@ def _fd_hessian(grad_fn, theta, step):
     return 0.5 * (h + h.T)
 
 
-def _newton_polish(cost_fn, grad_fn, theta, f, g, options, counters):
+def _newton_polish(cost_fn, grad_fn, theta, f, g, counters):
     """One terminal-phase step accepted on gradient-norm decrease.
 
     Near a stationary point the cost goes flat at double resolution while the
@@ -284,7 +248,7 @@ def _newton_polish(cost_fn, grad_fn, theta, f, g, options, counters):
                     return theta_new, float(f_new), g_new
             if np.array_equal(theta_new, theta):
                 break  # the step rounds away, and every shorter one lands on theta too
-            alpha *= options.backtrack_rho
+            alpha *= _BACKTRACK_RHO
     counters["polish_failures"] += 1
     return None
 
@@ -311,27 +275,6 @@ def _counted(cost_fn, grad_fn, counters):
 
         grad.lanes = grad_lanes
     return cost, grad
-
-
-def _wolfe_search(cost_fn, grad_fn, theta, f, g, p, options):
-    hit = _line_search(cost_fn, theta, f, g, p, options)
-    if hit is None:
-        return None
-    alpha, theta_new, f_new = hit
-    slope = float(g @ p)
-    for _ in range(_MAX_BACKTRACKS):
-        g_new = grad_fn(theta_new)
-        if float(g_new @ p) >= options.wolfe_c2 * slope:
-            return alpha, theta_new, f_new
-        # curvature too negative: the step is still deep in the descent,
-        # try a longer one as long as Armijo keeps holding
-        alpha_try = alpha / options.backtrack_rho
-        theta_try = theta + alpha_try * p
-        f_try = cost_fn(theta_try)
-        if not (np.isfinite(f_try) and f_try <= f + options.armijo_c1 * alpha_try * slope):
-            return alpha, theta_new, f_new
-        alpha, theta_new, f_new = alpha_try, theta_try, f_try
-    return alpha, theta_new, f_new
 
 
 def bfgs_minimize(
@@ -389,7 +332,7 @@ def bfgs_minimize(
             # the cost has flattened out at its floating-point floor; drive
             # the gradient down directly instead of grinding ulp by ulp
             last_polish = it
-            polish = _newton_polish(cost_fn, grad_fn, theta, f, g, options, counters)
+            polish = _newton_polish(cost_fn, grad_fn, theta, f, g, counters)
             if polish is not None:
                 theta_new, f_new, g_new = polish
                 polish_gap = 1
@@ -409,25 +352,22 @@ def bfgs_minimize(
                 p = -g
                 is_sd = True
             pn = float(np.linalg.norm(p))
-            if _STEP_CAP is not None and pn > _STEP_CAP:
+            if pn > _STEP_CAP:
                 # cap the trial direction so no single step can fling the
                 # iterate into the steep large-angle basins, whose curvature
                 # outgrows what float-resolution theta steps can resolve;
                 # backtracking still shortens the step further as needed
                 p = p * (_STEP_CAP / pn)
 
-            if options.line_search == "wolfe":
-                step = _wolfe_search(cost_fn, grad_fn, theta, f, g, p, options)
-            else:
-                step = _line_search(cost_fn, theta, f, g, p, options)
+            step = _armijo_backtrack(cost_fn, theta, f, g, p)
             if step is None and not is_sd:
                 hinv = np.eye(dim)
                 counters["metric_resets"] += 1
                 p = -g
-                step = _line_search(cost_fn, theta, f, g, p, options)
+                step = _armijo_backtrack(cost_fn, theta, f, g, p)
 
             if step is not None:
-                _, theta_new, f_new = step
+                theta_new, f_new = step
                 g_new = np.asarray(grad_fn(theta_new), dtype=float)
                 if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
                     err = NumericalError(f"non-finite cost or gradient at iteration {it}")
@@ -435,7 +375,7 @@ def bfgs_minimize(
                     err.counters = counters
                     raise err
             else:
-                polish = _newton_polish(cost_fn, grad_fn, theta, f, g, options, counters)
+                polish = _newton_polish(cost_fn, grad_fn, theta, f, g, counters)
                 if polish is None:
                     err = StagnationError(
                         f"line search failed after {_MAX_BACKTRACKS} backtracks and the "
@@ -498,7 +438,7 @@ def optimize_theta(
     first_error: Exception | None = None
     total = dict.fromkeys(COUNTERS, 0)
     for start in range(options.multi_start):
-        opts_i = options if start == 0 else _with_seed(options, options.seed + start)
+        opts_i = replace(options, seed=options.seed + start)
         theta0 = initial_theta(parameter_count, opts_i)
         try:
             results.append(bfgs_minimize(cost_fn, grad_fn, theta0, opts_i))
@@ -518,12 +458,6 @@ def optimize_theta(
     converged = [r for r in tied if r.converged]
     pool = converged or tied
     return replace(min(pool, key=lambda r: r.final_cost), counters=total)
-
-
-def _with_seed(options: OptimizerOptions, seed: int) -> OptimizerOptions:
-    fields = {k: getattr(options, k) for k in options.__dataclass_fields__}
-    fields["seed"] = seed
-    return OptimizerOptions(**fields)
 
 
 def extract_h0(

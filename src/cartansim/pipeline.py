@@ -258,7 +258,7 @@ def run_decompose(config: RunConfig, persist: bool = True) -> RunRecord:
     h, dla, split, ansatz, v = prob.h, prob.dla, prob.split, prob.ansatz, prob.v
     clock = _StageClock(dict(prob.timings_ms))
     cost_fn, grad_fn, engine = clock.run(
-        "make_cost_functions", make_cost_functions, ansatz, dla.strings, v, h, config.optimizer
+        "make_cost_functions", make_cost_functions, ansatz, dla.strings, v, h
     )
     result: OptimizationResult = clock.run(
         "optimize", optimize_theta, cost_fn, grad_fn, ansatz.parameter_count, config.optimizer

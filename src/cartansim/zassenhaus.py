@@ -142,7 +142,9 @@ def build_ansatz(
     factors.  An empty basis yields the identity ansatz (no factors, no
     parameters); that happens for models whose DLA is already abelian.
     ``n`` is the qubit count, which an empty basis cannot tell; without it
-    such an ansatz acts on one qubit.
+    such an ansatz acts on one qubit.  ``variant`` only changes the scale of
+    the triple_b factors (1/3 standard, 1/6 paper); the quads always take
+    C4's chain weights 1, 3, 3, 1 whatever the variant.
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"ansatz order must be 1..4, got {order}")

@@ -140,6 +140,17 @@ def test_config_error_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_removed_optimizer_settings_exit_two(tmp_path, capsys):
+    # the gradient is always analytic and the line search always Armijo
+    assert run_cli("decompose", *XY, "--grad", "fd", "--output", str(tmp_path)) == 2
+    capsys.readouterr()
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"model": {"name": "xy", "n": 3}, "optimizer": {"line_search": "wolfe"}}))
+    assert run_cli("decompose", "--config", str(cfg_path), "--output", str(tmp_path)) == 2
+    assert "line_search" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/record.json"))
+
+
 def test_benchmark_qubits_without_model_exits_two(capsys):
     assert run_cli("benchmark", "--qubits", "4") == 2
     assert run_cli("scaling", "--qubits", "4") == 2

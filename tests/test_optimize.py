@@ -13,7 +13,6 @@ from cartansim.optimize import (
     OptimizerOptions,
     bfgs_minimize,
     extract_h0,
-    fd_gradient,
     initial_theta,
     make_cost_functions,
     make_target_v,
@@ -23,7 +22,7 @@ from cartansim.optimize import (
 from cartansim.pauli import AlgebraElement, hs_inner, parse_label, to_dense
 from cartansim.zassenhaus import build_ansatz, k_dense
 
-from oracles import adjoint_K, cost, gradient
+from oracles import adjoint_K, cost, fd_grad_fn, fd_gradient, gradient
 
 
 def strs(*labels):
@@ -74,7 +73,7 @@ def test_cost_matches_dense_trace():
 def test_engine_cost_matches_reference():
     rng = np.random.default_rng(4)
     h, dla, split, ansatz, v = tfim2_setup(order=3)
-    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h, OptimizerOptions())
+    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h)
     for _ in range(10):
         theta = rng.uniform(-1, 1, size=ansatz.parameter_count)
         assert cost_fn(theta) == pytest.approx(cost(ansatz, theta, v, h), abs=1e-11)
@@ -86,11 +85,10 @@ def test_engine_cost_matches_reference():
 def test_analytic_gradient_matches_fd(order):
     rng = np.random.default_rng(50 + order)
     h, dla, split, ansatz, v = tfim2_setup(order=order)
-    opts = OptimizerOptions()
     for _ in range(20):
         theta = rng.uniform(-0.5, 0.5, size=ansatz.parameter_count)
-        ga = gradient(ansatz, theta, v, h, opts)
-        gf = gradient(ansatz, theta, v, h, OptimizerOptions(grad_mode="fd"))
+        ga = gradient(ansatz, theta, v, h)
+        gf = gradient(ansatz, theta, v, h, fd_step=1e-6)
         assert np.max(np.abs(ga - gf)) < 1e-6
 
 
@@ -106,8 +104,7 @@ def test_gradient_vanishes_for_commuting_direction():
 def test_engine_gradient_matches_fd_of_engine_cost():
     rng = np.random.default_rng(8)
     h, dla, split, ansatz, v = tfim2_setup(order=4)
-    opts = OptimizerOptions()
-    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h, opts)
+    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h)
     for _ in range(10):
         theta = rng.uniform(-0.5, 0.5, size=ansatz.parameter_count)
         assert np.max(np.abs(grad_fn(theta) - fd_gradient(cost_fn, theta, 1e-6))) < 1e-6
@@ -117,13 +114,7 @@ def test_engine_gradient_matches_fd_of_engine_cost():
 
 def test_optimizer_options_validation():
     with pytest.raises(ConfigError):
-        OptimizerOptions(grad_mode="magic")
-    with pytest.raises(ConfigError):
-        OptimizerOptions(armijo_c1=0.95)  # violates c1 < c2
-    with pytest.raises(ConfigError):
-        OptimizerOptions(backtrack_rho=1.0)
-    with pytest.raises(ConfigError):
-        OptimizerOptions(fd_step=0.0)
+        OptimizerOptions(max_iters=0)
     with pytest.raises(ConfigError):
         OptimizerOptions(multi_start=0)
 
@@ -207,25 +198,10 @@ def test_bfgs_lying_gradient_stagnates():
     assert np.array_equal(info.value.theta, np.zeros(2))
 
 
-def test_bfgs_wolfe_mode_still_descends():
-    def f(th):
-        return float(np.sum((th - 3.0) ** 2))
-
-    def g(th):
-        return 2.0 * (th - 3.0)
-
-    result = bfgs_minimize(
-        f, g, np.zeros(2), OptimizerOptions(line_search="wolfe", tol_grad_inf=1e-9)
-    )
-    assert result.converged
-    costs = [row[1] for row in result.cost_trace]
-    assert all(b <= a for a, b in zip(costs, costs[1:]))
-
-
 def test_bfgs_determinism_on_pipeline_cost():
     h, dla, split, ansatz, v = tfim2_setup(order=2)
     opts = OptimizerOptions(seed=7)
-    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h, opts)
+    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h)
     runs = []
     for _ in range(2):
         theta0 = initial_theta(ansatz.parameter_count, opts)
@@ -237,7 +213,7 @@ def test_bfgs_determinism_on_pipeline_cost():
 def test_optimize_theta_single_start_matches_bfgs():
     h, dla, split, ansatz, v = tfim2_setup(order=2)
     opts = OptimizerOptions(seed=7)
-    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h, opts)
+    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h)
     direct = bfgs_minimize(cost_fn, grad_fn, initial_theta(ansatz.parameter_count, opts), opts)
     wrapped = optimize_theta(cost_fn, grad_fn, ansatz.parameter_count, opts)
     assert np.array_equal(direct.theta_star, wrapped.theta_star)
@@ -267,7 +243,7 @@ def test_optimize_theta_restart_takes_lower_cost():
 
 def test_counters_tally_calls_and_sum_over_starts():
     h, dla, split, ansatz, v = tfim2_setup(order=2)
-    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h, OptimizerOptions())
+    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h)
     opts = OptimizerOptions(seed=7, multi_start=2)
     singles = [
         bfgs_minimize(cost_fn, grad_fn, initial_theta(ansatz.parameter_count, o), o)
@@ -302,7 +278,7 @@ def test_counters_tally_calls_and_sum_over_starts():
 
 def test_closures_free_their_engine_without_the_cycle_collector():
     h, dla, split, ansatz, v = tfim2_setup(order=2)
-    cost_fn, grad_fn, engine = make_cost_functions(ansatz, dla.strings, v, h, OptimizerOptions())
+    cost_fn, grad_fn, engine = make_cost_functions(ansatz, dla.strings, v, h)
     theta = initial_theta(ansatz.parameter_count, OptimizerOptions())
     cost_fn(theta)
     grad_fn(theta)
@@ -319,8 +295,8 @@ def test_closures_free_their_engine_without_the_cycle_collector():
 
 def test_fd_gradients_report_no_forward_reuse():
     h, dla, split, ansatz, v = tfim2_setup()
-    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h, OptimizerOptions(grad_mode="fd"))
-    res = bfgs_minimize(cost_fn, grad_fn, initial_theta(ansatz.parameter_count, OptimizerOptions()))
+    cost_fn, _, _ = make_cost_functions(ansatz, dla.strings, v, h)
+    res = bfgs_minimize(cost_fn, fd_grad_fn(cost_fn), initial_theta(ansatz.parameter_count, OptimizerOptions()))
     assert res.counters["grad_evals"] > 0 and res.counters["forward_reuses"] == 0
 
 
@@ -361,7 +337,7 @@ def test_optimize_theta_propagates_when_all_starts_fail():
 
 def test_extract_h0_identity_case():
     h, dla, split, ansatz, v = tfim2_setup()
-    _, _, engine = make_cost_functions(ansatz, dla.strings, v, h, OptimizerOptions())
+    _, _, engine = make_cost_functions(ansatz, dla.strings, v, h)
     h_in_span = AlgebraElement.from_label_dict({"XX": 0.7, "YY": -0.1})
     h0, residual = extract_h0(engine, np.zeros(ansatz.parameter_count), h_in_span, split.h_basis)
     assert h0 == h_in_span and residual == 0.0
@@ -370,7 +346,7 @@ def test_extract_h0_identity_case():
 def test_extract_h0_pythagoras_and_engine_agreement():
     rng = np.random.default_rng(21)
     h, dla, split, ansatz, v = tfim2_setup(order=3)
-    _, _, engine = make_cost_functions(ansatz, dla.strings, v, h, OptimizerOptions())
+    _, _, engine = make_cost_functions(ansatz, dla.strings, v, h)
     for _ in range(10):
         theta = rng.uniform(-1, 1, size=ansatz.parameter_count)
         e = adjoint_K(ansatz, theta, h, side="k_e_kdag")

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -349,6 +350,23 @@ def test_verify_rejects_a_stored_ansatz_shape_the_builder_does_not_make(tmp_path
     path = tmp_path / "record.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(NumericalError, match=field):
+        verify(path)
+
+
+def test_records_from_before_the_five_optimizer_fields_do_not_load(tmp_path):
+    # records written while OptimizerOptions had eleven fields carry these six
+    doc = json.loads(TFIM_ORDER3.read_text())
+    opt = doc["config"]["optimizer"]
+    doc["config"]["optimizer"] = {
+        "grad_mode": "analytic", "fd_step": 1e-06, "tol_grad_inf": opt["tol_grad_inf"],
+        "max_iters": opt["max_iters"], "armijo_c1": 0.0001, "backtrack_rho": 0.5, "wolfe_c2": 0.9,
+        "line_search": "armijo", "seed": opt["seed"], "init_scale": opt["init_scale"],
+        "multi_start": opt["multi_start"],
+    }
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(doc))
+    removed = ["armijo_c1", "backtrack_rho", "fd_step", "grad_mode", "line_search", "wolfe_c2"]
+    with pytest.raises(ConfigError, match=re.escape(f"unknown optimizer keys: {removed}")):
         verify(path)
 
 

@@ -5,9 +5,11 @@ verify() rebuilds K, h0, the residual and the whole error curve and holds
 each to 1e-12 of the stored value, so this guards that contract across any
 change to the dense layer.  Re-decomposing holds the optimizer to its
 recorded trajectory bit for bit, so a change to the sweeps or the minimizer
-that moves any float shows here.
+that moves any float shows here.  The committed benchmark table must come
+from the same run as the records beside it.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,20 @@ def test_committed_record_redecomposes_exactly(path):
     assert fresh.theta_star == stored.theta_star
     assert fresh.iterations == stored.iterations
     assert fresh.cost_trace == stored.cost_trace
+
+
+def test_benchmark_table_matches_its_records():
+    table = json.loads((RUNS / "benchmark" / "benchmark.json").read_text(encoding="utf-8"))
+    records = {}
+    for path in (RUNS / "benchmark").glob("*/record.json"):
+        record = RunRecord.load(path)
+        records[(record.config.model.name, record.config.order)] = record
+    assert len(records) == len(table["rows"]) == 24
+    for row in table["rows"]:
+        record = records[(row["model"], row["order"])]
+        assert row["error"] is None and row["n"] == record.config.model.n
+        assert row["error_at_t"] == record.error_at_table_t
+        assert row["residual"] == record.residual_fro
+        assert row["iters"] == record.iterations
+        assert row["dla_dim"] == record.dla_dim
+        assert row["converged"] == record.converged

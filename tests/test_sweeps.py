@@ -10,7 +10,6 @@ from cartansim import (
     CompiledAdjoint,
     DimensionError,
     ModelSpec,
-    OptimizerOptions,
     RunConfig,
     TargetV,
     default_benchmark_specs,
@@ -19,7 +18,7 @@ from cartansim import adjoint
 from cartansim.optimize import _fd_hessian, make_cost_functions
 from cartansim.pipeline import build_problem
 
-from oracles import reference_cost_and_grad
+from oracles import fd_grad_fn, reference_cost_and_grad
 
 GRID = [(spec, order) for spec in default_benchmark_specs() for order in (1, 2, 3, 4)]
 
@@ -35,9 +34,9 @@ def setup(spec, order):
     return p.h, p.dla, p.split, p.ansatz, p.v
 
 
-def closures(spec, order, **opts):
+def closures(spec, order):
     h, dla, _, ansatz, v = setup(spec, order)
-    return make_cost_functions(ansatz, dla.strings, v, h, OptimizerOptions(**opts))
+    return make_cost_functions(ansatz, dla.strings, v, h)
 
 
 def fresh_grad(spec, order, theta, v=None):
@@ -86,7 +85,7 @@ def test_stale_forward_state_is_recomputed():
     # closures for another target v keep their own forward state
     h, dla, _, ansatz, v = setup(TFIM, 3)
     other_v = TargetV(v.element * 3.0, v.h_basis, v.gammas)
-    cost_other, grad_other, _ = make_cost_functions(ansatz, dla.strings, other_v, h, OptimizerOptions())
+    cost_other, grad_other, _ = make_cost_functions(ansatz, dla.strings, other_v, h)
     cost_fn(a)
     cost_other(b)
     assert np.array_equal(grad_fn(a), fresh_grad(TFIM, 3, a)[1])
@@ -135,8 +134,13 @@ def test_plain_callables_keep_the_column_loop():
     center = np.array([0.5, -1.0, 2.0])
     hess = _fd_hessian(lambda th: 2.0 * (th - center) + th**3, np.zeros(3), 1e-4)
     assert np.allclose(hess, 2.0 * np.eye(3), atol=1e-7)
-    _, fd_grad, _ = closures(TFIM, 1, grad_mode="fd")
+    # a finite-difference gradient has no lanes; its Hessian runs column by
+    # column and agrees with the lanes Hessian of the analytic gradient
+    cost_fn, grad_fn, _ = closures(TFIM, 1)
+    fd_grad = fd_grad_fn(cost_fn)
     assert not hasattr(fd_grad, "lanes")
+    theta = points(TFIM, 1, 1)[0]
+    assert np.allclose(_fd_hessian(fd_grad, theta, 1e-3), _fd_hessian(grad_fn, theta, 1e-3), atol=1e-5)
 
 
 @pytest.mark.parametrize("lane_bytes", [1, 20_000, 1 << 40])
