@@ -1,9 +1,9 @@
 """Fixed-depth time evolution of the transverse-field Ising chain.
 
 One optimization buys the whole time axis: we factor e^{-iHt} as
-K^dag e^{-i h0 t} K with K a fixed product of 12 string rotations and h0
-a 4-term commuting element, then sweep t from 0 to 200 and watch the
-error stay at the numerical floor.  A Trotter circuit at comparable
+K^dag e^{-i h0 t} K with K a fixed product of 36 string rotations over
+12 free angles and h0 a 4-term commuting element, then sweep t from 0 to
+200 and watch the error stay at the numerical floor.  A Trotter circuit at comparable
 accuracy would need its depth to grow with t; here depth is constant by
 construction and t only enters through the rotation angles in e^{-i h0 t}.
 """

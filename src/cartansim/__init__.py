@@ -9,7 +9,7 @@ Layering (each module only reaches downward):
 
     pauli       exact string algebra, real-weighted sums, dense conversion
     lie         DLA closure, involution split, commuting subalgebra
-    zassenhaus  product ansatz K(theta), one signed k-string per factor
+    zassenhaus  product ansatz K(theta): one signed k-string per factor, theta -> angles
     adjoint     the ansatz's adjoint action compiled to sparse rotations
     optimize    BFGS with Armijo backtracking, analytic cost/gradient plumbing
     evolution   dense verification: exact propagators, error curves, Trotter

@@ -1,15 +1,18 @@
 """Array-compiled adjoint action of an ansatz on a closed string basis.
 
-The conjugation K^dag E K is compiled once per (ansatz, basis):
+The conjugation K^dag E K is compiled once per (ansatz, basis).  The engine
+only rotates: ``Ansatz.angles`` maps theta to the factor angles phi_t, the
+sweeps take phi and return d f / d phi, and ``Ansatz.angle_grad`` chains it
+back to d f / d theta.
 
 * the element being conjugated lives as a coefficient vector over a fixed
   string basis (normally the DLA basis, which is closed under every
   rotation the ansatz can apply);
-* each factor exp(i c w P) becomes a sparse planar rotation: for every
+* each factor exp(i phi P) becomes a sparse planar rotation: for every
   basis string Q_a anticommuting with P we have bb(P, Q_a) = 2 s Q_b, and
   conjugation by the factor maps
 
-      v[b] <- cos(2 phi) v[b] + dir * sin(2 phi) * s * v[a],  phi = c*w,
+      v[b] <- cos(2 phi) v[b] + dir * sin(2 phi) * s * v[a],
 
   with dir = +1 for the K^dag E K orientation (and the a<->b pairing a
   permutation of the anticommuting index set, so the scatter is exact);
@@ -87,26 +90,8 @@ class CompiledAdjoint:
             raise StructuralError("duplicate strings in adjoint basis")
 
         # one edge block per distinct factor string; sub_edge is its id per factor
-        self._edges: list[_Edges] = []
-        edge_of: dict[PauliString, int] = {}
-        for factor in ansatz.factors:
-            if factor.string not in edge_of:
-                edge_of[factor.string] = len(self._edges)
-                self._edges.append(self._compile_edges(factor.string))
-        self.sub_edge = np.array([edge_of[f.string] for f in ansatz.factors], dtype=np.intp)
-
-        # factor weights and monomials, padded to fixed width for vector evaluation
-        m = len(ansatz.factors)
-        width = max((len(f.monomial) for f in ansatz.factors), default=1)
-        width = max(width, 1)
-        self.f_weight = np.array([f.weight for f in ansatz.factors], dtype=float)
-        self.f_scale = np.array([f.scale for f in ansatz.factors], dtype=float)
-        self.m_idx = np.zeros((m, width), dtype=np.intp)
-        self.m_pow = np.zeros((m, width), dtype=float)
-        for fi, f in enumerate(ansatz.factors):
-            for s, (i, p) in enumerate(f.monomial):
-                self.m_idx[fi, s] = i
-                self.m_pow[fi, s] = p
+        self._edges = [self._compile_edges(p) for p in ansatz.strings]
+        self.sub_edge = ansatz.string_ids
 
     def _compile_edges(self, p: PauliString) -> _Edges:
         qa, qb, sgn = [], [], []
@@ -143,21 +128,9 @@ class CompiledAdjoint:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _angles(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.ansatz.parameter_count,):
-            raise DimensionError(
-                f"theta has shape {theta.shape}, expected ({self.ansatz.parameter_count},)"
-            )
-        if not len(self.ansatz.factors):
-            return np.zeros(0)
-        tx = theta[self.m_idx]
-        coeffs = self.f_scale * np.prod(np.power(tx, self.m_pow), axis=1)
-        return coeffs * self.f_weight
-
     def _steps(self, theta: np.ndarray, direction: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """cos(2 phi_t) and direction * sin(2 phi_t) for every step of one point."""
-        phi = self._angles(theta)
+        phi = self.ansatz.angles(theta)
         return np.cos(2 * phi), direction * np.sin(2 * phi)
 
     def conjugate(self, theta: np.ndarray, v: np.ndarray, side: str = "kdag_e_k") -> np.ndarray:
@@ -216,10 +189,7 @@ class CompiledAdjoint:
 
         c2, s2 = self._steps(theta)
         e = self._forward(v, c2, s2) if forward is None else np.asarray(forward, dtype=float)
-        grad = np.zeros_like(theta)
-        if len(self.sub_edge) and theta.size:
-            grad = self._theta_grad(theta, self._backward(e, h, c2, s2))
-        return self.trace(e, h), grad
+        return self.trace(e, h), self.ansatz.angle_grad(theta, self._backward(e, h, c2, s2))
 
     def _backward(self, e: np.ndarray, h: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
         """d f / d phi_t at one point, undoing every step on E and B together."""
@@ -247,10 +217,8 @@ class CompiledAdjoint:
         for lane, theta in enumerate(points):
             c2[:, lane], s2[:, lane] = self._steps(theta)
         e = self._forward_lanes(v, c2, s2)
-        grad = np.zeros_like(points)
-        if len(self.sub_edge) and points.shape[1]:
-            gphi = self._backward_lanes(e, h, c2, s2)
-            grad[:] = [self._theta_grad(theta, g) for theta, g in zip(points, gphi.T)]
+        gphi = self._backward_lanes(e, h, c2, s2)
+        grad = np.array([self.ansatz.angle_grad(theta, g) for theta, g in zip(points, gphi.T)])
         return np.array([self.trace(row, h) for row in e.T.copy()]), grad
 
     def _forward_lanes(self, v: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -290,23 +258,3 @@ class CompiledAdjoint:
             st[qb] = xb.reshape(-1, 2 * lanes)
         gphi *= 2.0 * float(2**self.n)
         return gphi
-
-    def _theta_grad(self, theta: np.ndarray, gphi: np.ndarray) -> np.ndarray:
-        """Chain d f / d phi_t through the factor monomials to d f / d theta."""
-        grad = np.zeros_like(theta)
-        gfac = gphi * self.f_weight  # d phi_t / d theta = w_t * d c_t / d theta
-        tx = theta[self.m_idx]
-        powed = np.power(tx, self.m_pow)
-        width = self.m_idx.shape[1]
-        for s in range(width):
-            others = self.f_scale.copy()  # prod over the other slots (width <= 4)
-            for s2_ in range(width):
-                if s2_ != s:
-                    others *= powed[:, s2_]
-            pw = self.m_pow[:, s]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dphi = np.where(
-                    pw > 0, pw * np.power(tx[:, s], np.maximum(pw - 1, 0.0)) * others, 0.0
-                )
-            np.add.at(grad, self.m_idx[:, s], gfac * dphi)
-        return grad

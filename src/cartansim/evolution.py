@@ -17,16 +17,15 @@ from math import prod
 
 import numpy as np
 
+from . import pauli
 from .errors import ConfigError, DimensionError, NumericalError, ResourceLimitError, StructuralError
 from .pauli import AlgebraElement, apply_rotation, bracket, commutes, string_rotation, to_dense
 
-#: Largest matrix dimension the dense layer will touch (2^12).
-DENSE_DIM_CAP = 4096
-
 
 def _check_dim(dim: int) -> None:
-    if dim > DENSE_DIM_CAP:
-        raise ResourceLimitError(f"dense operation at dimension {dim} exceeds cap {DENSE_DIM_CAP}")
+    cap = 2**pauli.DENSE_QUBIT_CAP
+    if dim > cap:
+        raise ResourceLimitError(f"dense operation at dimension {dim} exceeds cap {cap}")
 
 
 def expm_hermitian(h: AlgebraElement | np.ndarray, t: float) -> np.ndarray:

@@ -42,8 +42,9 @@ MAX_QUBITS = 12
 #: Coefficients with magnitude below this are dropped from sums.
 PRUNE_THRESHOLD = 1e-14
 
-#: Default cap for dense-matrix conversion (2^12 x 2^12 is the largest
-#: matrix the verification layer is willing to materialize).
+#: Cap for every dense matrix: ``to_dense``, ``k_dense`` and the dense layer
+#: (2^12 x 2^12 is the largest matrix the verification layer is willing to
+#: materialize).  Read at call time.
 DENSE_QUBIT_CAP = 12
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -368,10 +369,10 @@ def string_dense(p: PauliString) -> np.ndarray:
     return to_dense(AlgebraElement.from_string(p))
 
 
-def to_dense(a: AlgebraElement, qubit_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Dense Hermitian matrix of a sum; refuses above ``qubit_cap`` qubits."""
-    if a.n > qubit_cap:
-        raise ResourceLimitError(f"dense conversion of {a.n} qubits exceeds cap {qubit_cap}")
+def to_dense(a: AlgebraElement) -> np.ndarray:
+    """Dense Hermitian matrix of a sum; refuses above ``DENSE_QUBIT_CAP`` qubits."""
+    if a.n > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(f"dense conversion of {a.n} qubits exceeds cap {DENSE_QUBIT_CAP}")
     dim = 2**a.n
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)

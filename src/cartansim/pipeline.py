@@ -393,12 +393,27 @@ def _benchmark_cell(config: RunConfig) -> dict:
     return row
 
 
+def trend_mark(order: int, error: float | None, baseline: float | None) -> str:
+    """A row's error at t against its model's order-1 error ``baseline``.
+
+    Order 1 is the baseline.  Errors within VERIFY_TOL of it are matched
+    (both at the double-precision floor, where their ratio is noise);
+    otherwise improved below half, matched within twice, regressed above.
+    """
+    if order == 1:
+        return "baseline"
+    if error is None or baseline is None:
+        return "unavailable"
+    if abs(error - baseline) <= VERIFY_TOL or baseline / 2 < error <= 2 * baseline:
+        return "matched"
+    return "improved" if error <= baseline / 2 else "regressed"
+
+
 def run_benchmark(configs: Sequence[RunConfig] | None = None, **overrides) -> dict:
     """Run the model x order table; per-cell failures land in the cell.
 
     Returns {"rows": [...], "columns": ...}; each row additionally carries
-    a trend mark against its model's order-1 row: improved (below half),
-    matched (within the 2x noise band), or regressed (above twice).
+    a :func:`trend_mark` against its model's order-1 row.
     """
     if configs is None:
         configs = benchmark_configs(**overrides)
@@ -413,18 +428,7 @@ def run_benchmark(configs: Sequence[RunConfig] | None = None, **overrides) -> di
 
     base = {r["model"]: r["error_at_t"] for r in rows if r["order"] == 1}
     for row in rows:
-        err1 = base.get(row["model"])
-        err = row["error_at_t"]
-        if row["order"] == 1:
-            row["trend"] = "baseline"
-        elif err is None or err1 is None:
-            row["trend"] = "unavailable"
-        elif err <= err1 / 2:
-            row["trend"] = "improved"
-        elif err <= 2 * err1:
-            row["trend"] = "matched"
-        else:
-            row["trend"] = "regressed"
+        row["trend"] = trend_mark(row["order"], row["error_at_t"], base.get(row["model"]))
 
     table = {"columns": BENCHMARK_COLUMNS.split(","), "rows": rows}
     out_dir = Path(configs[0].output_dir)

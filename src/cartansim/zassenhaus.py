@@ -23,6 +23,11 @@ its arguments, and C4's four brackets share that string, so every G_m is
 an integer weight times a single string and each factor is an exact
 rotation exp(i c w P).
 
+The ansatz owns the map theta -> phi_t = c_t(theta) * w_t (``angles``, with
+its chain rule ``angle_grad``) and names each distinct factor string once
+(``strings``, ``string_ids``); ``adjoint.CompiledAdjoint`` and
+:func:`k_dense` only rotate by the angles they are handed.
+
 Exact coefficient values only matter for the direct truncation experiments
 (module ``evolution``, via :func:`truncation_coefficients`); as an
 optimization ansatz the monomials merely shape the search manifold and the
@@ -32,14 +37,15 @@ optimizer absorbs any residual constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
+from . import pauli
 from .errors import ConfigError, DimensionError, ResourceLimitError, StructuralError
-from .pauli import DENSE_QUBIT_CAP, PauliString, apply_rotation, bracket_strings, commutes, string_rotation
+from .pauli import PauliString, apply_rotation, bracket_strings, commutes, string_rotation
 
 #: Nested-commutator coefficients of the scalar Zassenhaus expansion
 #: e^{A+B} = e^A e^B e^{W2} e^{W3} e^{W4} ...  Shapes are left-nested
@@ -86,11 +92,11 @@ def truncation_coefficients(order: int, variant: str = "standard") -> dict[tuple
 
 @dataclass(frozen=True)
 class Factor:
-    """One unitary factor exp(i * coeff(theta) * weight * string) of the ansatz.
+    """One unitary factor exp(i * phi * string) of the ansatz.
 
     ``weight`` is the exact integer in front of the nested bracket's string.
     ``monomial`` holds ((parameter index, power), ...) and ``scale`` the
-    constant in front, so coeff(theta) = scale * prod theta[i]**p.
+    constant in front, so phi = scale * prod theta[i]**p * weight.
     """
 
     kind: str  # linear | pair | triple_a | triple_b | quad
@@ -100,12 +106,6 @@ class Factor:
     scale: float
     monomial: tuple[tuple[int, int], ...]
 
-    def coeff(self, theta: np.ndarray) -> float:
-        c = self.scale
-        for i, p in self.monomial:
-            c *= theta[i] ** p
-        return c
-
 
 @dataclass(frozen=True)
 class Ansatz:
@@ -113,7 +113,8 @@ class Ansatz:
 
     The factor list is blocks in expansion order (linear, pair, triple,
     quad), each block in lexicographic index order, zero generators dropped;
-    the factor list of order r is therefore a prefix of order r+1.
+    the factor list of order r is therefore a prefix of order r+1.  The
+    factor program is cached on first use, outside ``==`` and ``hash``.
     """
 
     n: int
@@ -130,6 +131,54 @@ class Ansatz:
         for f in self.factors:
             counts[f.kind] += 1
         return counts
+
+    @cached_property
+    def strings(self) -> tuple[PauliString, ...]:
+        """Each distinct factor string once, in first-use order."""
+        return tuple(dict.fromkeys(f.string for f in self.factors))
+
+    @cached_property
+    def string_ids(self) -> np.ndarray:
+        """For each factor, the index of its string in ``strings``."""
+        index = {p: i for i, p in enumerate(self.strings)}
+        return np.array([index[f.string] for f in self.factors], dtype=np.intp)
+
+    @cached_property
+    def _monomials(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(scale, weight, index, power) per factor, padded with theta[0]**0."""
+        width = max((len(f.monomial) for f in self.factors), default=1)
+        rows = [f.monomial + ((0, 0),) * (width - len(f.monomial)) for f in self.factors]
+        mono = np.array(rows, dtype=np.intp).reshape(len(rows), width, 2)
+        scale = np.array([f.scale for f in self.factors], dtype=float)
+        weight = np.array([f.weight for f in self.factors], dtype=float)
+        return scale, weight, mono[..., 0], mono[..., 1].astype(float)
+
+    def angles(self, theta: np.ndarray) -> np.ndarray:
+        """phi_t = scale_t * prod theta[i]**p * weight_t for every factor t."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.parameter_count,):
+            raise DimensionError(f"theta has shape {theta.shape}, expected ({self.parameter_count},)")
+        scale, weight, idx, pw = self._monomials
+        return scale * np.prod(np.power(theta[idx], pw), axis=1) * weight
+
+    def angle_grad(self, theta: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+        """Chain d f / d phi_t through the factor monomials to d f / d theta."""
+        scale, weight, idx, pw = self._monomials
+        grad = np.zeros_like(theta)
+        gfac = dphi * weight  # d phi_t / d theta = w_t * d c_t / d theta
+        tx = theta[idx]
+        powed = np.power(tx, pw)
+        width = idx.shape[1]
+        for s in range(width):
+            others = scale.copy()  # prod over the other slots (width <= 4)
+            for s2 in range(width):
+                if s2 != s:
+                    others *= powed[:, s2]
+            p = pw[:, s]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dc = np.where(p > 0, p * np.power(tx[:, s], np.maximum(p - 1, 0.0)) * others, 0.0)
+            np.add.at(grad, idx[:, s], gfac * dc)
+        return grad
 
 
 def build_ansatz(
@@ -220,24 +269,18 @@ def build_ansatz(
     return Ansatz(n, order, tuple(k_basis), tuple(factors))
 
 
-def k_dense(ansatz: Ansatz, theta: np.ndarray, qubit_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def k_dense(ansatz: Ansatz, theta: np.ndarray) -> np.ndarray:
     """Materialize K(theta) as a dense unitary.
 
-    Each factor exp(i c w P) = cos(c w) I + i sin(c w) P is applied to the
+    Each factor exp(i phi P) = cos(phi) I + i sin(phi) P is applied to the
     left of the running matrix, last factor first, as an O(dim^2) row
     gather.  Odd-Y strings (all of k) keep the work, and K, real.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (ansatz.parameter_count,):
-        raise DimensionError(
-            f"theta has shape {theta.shape}, expected ({ansatz.parameter_count},)"
-        )
-    if ansatz.n > qubit_cap:
-        raise ResourceLimitError(f"dense K at {ansatz.n} qubits exceeds cap {qubit_cap}")
+    if ansatz.n > pauli.DENSE_QUBIT_CAP:
+        raise ResourceLimitError(f"dense K at {ansatz.n} qubits exceeds cap {pauli.DENSE_QUBIT_CAP}")
+    phi = -ansatz.angles(theta)
+    rotations = [string_rotation(p) for p in ansatz.strings]
     out = np.eye(2**ansatz.n)
-    rotations: dict[PauliString, tuple[np.ndarray, np.ndarray]] = {}
-    for f in reversed(ansatz.factors):
-        if f.string not in rotations:
-            rotations[f.string] = string_rotation(f.string)
-        out = apply_rotation(out, rotations[f.string], -f.coeff(theta) * f.weight)
+    for j, angle in zip(ansatz.string_ids[::-1].tolist(), phi[::-1].tolist()):
+        out = apply_rotation(out, rotations[j], angle)
     return out

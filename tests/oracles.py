@@ -101,13 +101,22 @@ def closure_dim(labels: list[str], tol: float = 1e-8) -> int:
     return len(basis)
 
 
+def factor_coeff(f, theta) -> float:
+    """c(theta) = scale * prod theta[i]**p of one factor, term by term; its
+    angle is c * weight."""
+    c = f.scale
+    for i, p in f.monomial:
+        c *= theta[i] ** p
+    return c
+
+
 def k_dense_oracle(ansatz, theta) -> np.ndarray:
     """K(theta) as the plain matmul product of cos(c w) I + i sin(c w) P over
     the factors, each P a kron of site matrices."""
     dim = 2**ansatz.n
     out = np.eye(dim, dtype=complex)
     for f in ansatz.factors:
-        phi = f.coeff(theta) * f.weight
+        phi = factor_coeff(f, theta) * f.weight
         out = out @ (np.cos(phi) * np.eye(dim) + 1j * np.sin(phi) * label_matrix(f.string.label))
     return out
 
@@ -208,7 +217,7 @@ def adjoint_K(ansatz, theta, element: AlgebraElement, side: str = "kdag_e_k") ->
         raise ConfigError(f"side must be 'kdag_e_k' or 'k_e_kdag', got {side!r}")
     out = element
     for f in factors:
-        out = conjugate_by_factor(out, f.string, f.weight, f.coeff(theta), direction)
+        out = conjugate_by_factor(out, f.string, f.weight, factor_coeff(f, theta), direction)
     return out
 
 
@@ -218,13 +227,30 @@ def cost(ansatz, theta, v, h: AlgebraElement) -> float:
     return hs_inner(adjoint_K(ansatz, theta, ve, side="kdag_e_k"), h)
 
 
+def _padded_monomials(ansatz):
+    """(scale, weight, index, power) per factor, monomials padded with theta[0]**0."""
+    width = max((len(f.monomial) for f in ansatz.factors), default=1)
+    idx = np.zeros((len(ansatz.factors), width), dtype=np.intp)
+    pw = np.zeros((len(ansatz.factors), width))
+    for fi, f in enumerate(ansatz.factors):
+        for s, (i, p) in enumerate(f.monomial):
+            idx[fi, s], pw[fi, s] = i, p
+    scale = np.array([f.scale for f in ansatz.factors])
+    weight = np.array([f.weight for f in ansatz.factors])
+    return scale, weight, idx, pw
+
+
 def reference_cost_and_grad(engine: CompiledAdjoint, theta, v, h):
     """Cost and gradient from one-vector sweeps: a forward sweep, then a
-    backward sweep that undoes each rotation on E and on B separately."""
+    backward sweep that undoes each rotation on E and on B separately, and
+    a chain rule of its own through the factor monomials."""
     theta = np.asarray(theta, dtype=float)
-    phi = engine._angles(theta)
+    scale, weight, idx, pw = _padded_monomials(engine.ansatz)
+    tx = theta[idx]
+    powed = np.power(tx, pw)
+    phi = scale * np.prod(powed, axis=1) * weight
     tcount = len(phi)
-    scale = float(2**engine.n)
+    scale_n = float(2**engine.n)
 
     e = np.array(v, dtype=float, copy=True)
     c2 = np.cos(2 * phi)
@@ -233,7 +259,7 @@ def reference_cost_and_grad(engine: CompiledAdjoint, theta, v, h):
         qa, qb, sgn = engine._edges[engine.sub_edge[t]][:3]
         va = e[qa]
         e[qb] = c2[t] * e[qb] + s2[t] * (sgn * va)
-    f = scale * float(e @ h)
+    f = scale_n * float(e @ h)
     grad = np.zeros_like(theta)
     if tcount == 0 or theta.size == 0:
         return f, grad
@@ -247,21 +273,19 @@ def reference_cost_and_grad(engine: CompiledAdjoint, theta, v, h):
         e[qb] = c2[t] * e[qb] - s2[t] * (sgn * va)
         wa = b[qa]
         b[qb] = c2[t] * b[qb] - s2[t] * (sgn * wa)
-    gphi *= scale
+    gphi *= scale_n
 
-    gfac = gphi * engine.f_weight
-    tx = theta[engine.m_idx]
-    powed = np.power(tx, engine.m_pow)
-    width = engine.m_idx.shape[1]
+    gfac = gphi * weight
+    width = idx.shape[1]
     for s in range(width):
-        others = engine.f_scale.copy()
+        others = scale.copy()
         for s2_ in range(width):
             if s2_ != s:
                 others *= powed[:, s2_]
-        pw = engine.m_pow[:, s]
+        p = pw[:, s]
         with np.errstate(divide="ignore", invalid="ignore"):
-            dphi = np.where(pw > 0, pw * np.power(tx[:, s], np.maximum(pw - 1, 0.0)) * others, 0.0)
-        np.add.at(grad, engine.m_idx[:, s], gfac * dphi)
+            dphi = np.where(p > 0, p * np.power(tx[:, s], np.maximum(p - 1, 0.0)) * others, 0.0)
+        np.add.at(grad, idx[:, s], gfac * dphi)
     return f, grad
 
 

@@ -193,7 +193,7 @@ def test_truncation_order_scaling():
         slopes[order] = rep.slope
     # order-2 error bounded by one constant times the squared commutator norm
     rep2 = truncation_slope(a, b, 2)
-    comm_norm = float(np.linalg.norm(to_dense(bracket(a, b), qubit_cap=4), 2))
+    comm_norm = float(np.linalg.norm(to_dense(bracket(a, b)), 2))
     ratios = [err / (s * s * comm_norm) ** 2 for s, err in rep2.points if err > 0]
     c_fit = max(ratios)
     assert np.isfinite(c_fit) and c_fit > 0

@@ -22,6 +22,7 @@ from cartansim import (
     generate_dla,
     k_dense,
     parse_label,
+    pauli,
     run_decompose,
     spectral_norm,
     to_dense,
@@ -551,7 +552,7 @@ def test_dense_cap_enforced():
 
 def test_dense_cap_raised_before_allocation(monkeypatch):
     # a dim-1024 float matrix alone is 8 MiB; nothing of that size may be built
-    monkeypatch.setattr(evolution, "DENSE_DIM_CAP", 2**9)
+    monkeypatch.setattr(pauli, "DENSE_QUBIT_CAP", 9)
     h = AlgebraElement.from_label_dict({"X" * 10: 1.0})
     kc = np.broadcast_to(np.complex128(0), (1024, 1024))
     ansatz = build_ansatz([parse_label("Y" + "X" * 11)], order=1)
@@ -564,9 +565,9 @@ def test_dense_cap_raised_before_allocation(monkeypatch):
         with pytest.raises(ResourceLimitError):
             expm_hermitian(h, 1.0)
         with pytest.raises(ResourceLimitError):
-            k_dense(ansatz, np.zeros(1), qubit_cap=11)
+            k_dense(ansatz, np.zeros(1))
         with pytest.raises(ResourceLimitError):
-            to_dense(h, qubit_cap=9)
+            to_dense(h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cartansim import pauli
 from cartansim.errors import DimensionError, PauliParseError, ResourceLimitError
 from cartansim.pauli import (
     AlgebraElement,
@@ -195,10 +196,11 @@ def test_hs_inner_matches_trace():
         assert abs(a.norm() - np.linalg.norm(dense_sum(la))) < 1e-10
 
 
-def test_to_dense_respects_cap():
+def test_to_dense_respects_cap(monkeypatch):
+    monkeypatch.setattr(pauli, "DENSE_QUBIT_CAP", 2)
     a = AlgebraElement.from_label_dict({"XXX": 1.0})
     with pytest.raises(ResourceLimitError):
-        to_dense(a, qubit_cap=2)
+        to_dense(a)
 
 
 def _oracle_labels():

@@ -28,6 +28,7 @@ from cartansim.pipeline import (
     run_decompose,
     run_error_curve,
     run_scaling_check,
+    trend_mark,
     verify,
 )
 
@@ -318,7 +319,9 @@ def test_verify_rejects_edited_config(xy_record, tmp_path):
         verify(path)
 
 
-TFIM_ORDER3 = Path(__file__).resolve().parents[1] / "runs" / "benchmark" / "05b74cf01034" / "record.json"
+TFIM_ORDER3 = Path(__file__).resolve().parents[1] / next(
+    c for c in benchmark_configs(output_dir="runs/benchmark") if (c.model.name, c.order) == ("tfim", 3)
+).run_dir() / "record.json"
 
 
 def _add_seven(doc):
@@ -400,6 +403,27 @@ def test_benchmark_small_grid(tmp_path):
     assert len(lines) == 3
     doc = json.loads((tmp_path / "benchmark.json").read_text())
     assert doc["columns"] == BENCHMARK_COLUMNS.split(",")
+
+
+@pytest.mark.parametrize(
+    "error, baseline",
+    [
+        (1.1177997465877316e-13, 5.5347360854149464e-14),  # tfim o2: ratio 2.02
+        (3.2041201208909786e-14, 6.627097106751074e-14),  # tfxy o2: ratio 0.48
+        (4.185081248965729e-14, 1.8096919593151183e-13),  # heisenberg o2: ratio 0.23
+    ],
+)
+def test_trend_at_the_floor_is_matched(error, baseline):
+    assert trend_mark(2, error, baseline) == "matched"
+
+
+def test_trend_above_the_floor_compares_ratios():
+    assert trend_mark(1, 0.3, 0.3) == "baseline"
+    assert trend_mark(3, None, 1e-13) == trend_mark(3, 1e-13, None) == "unavailable"
+    assert trend_mark(2, 0.04, 0.1) == "improved"
+    assert trend_mark(2, 0.15, 0.1) == "matched"
+    assert trend_mark(4, 0.44, 0.1) == "regressed"
+    assert trend_mark(2, 1e-12, 1e-10) == "improved"  # 9.9e-11 apart, past VERIFY_TOL
 
 
 def test_benchmark_cell_failure_recorded_in_cell(tmp_path, monkeypatch):

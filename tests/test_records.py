@@ -6,7 +6,9 @@ each to 1e-12 of the stored value, so this guards that contract across any
 change to the dense layer.  Re-decomposing holds the optimizer to its
 recorded trajectory bit for bit, so a change to the sweeps or the minimizer
 that moves any float shows here.  The committed benchmark table must come
-from the same run as the records beside it.
+from the same run as the records beside it, and every record lives at its
+configuration's ``run_dir()``.  Tests are named <group>/<model>-n<n>-o<order>,
+so a regenerated record keeps its test's name.
 """
 
 import json
@@ -15,18 +17,33 @@ from pathlib import Path
 import pytest
 
 from cartansim import RunRecord, run_decompose, verify
+from cartansim.pipeline import trend_mark
 
-RUNS = Path(__file__).resolve().parents[1] / "runs"
+ROOT = Path(__file__).resolve().parents[1]
+RUNS = ROOT / "runs"
 RECORDS = sorted(RUNS.rglob("record.json"))
 # heisenberg orders 3-4 take several seconds each to re-decompose
 SLOW = {("heisenberg", 3), ("heisenberg", 4)}
 
 
+def record_id(path):
+    config = RunRecord.load(path).config
+    return f"{path.parent.parent.name}/{config.model.name}-n{config.model.n}-o{config.order}"
+
+
 def test_committed_records_are_found():
     assert len(RECORDS) >= 25
+    assert len({record_id(p) for p in RECORDS}) == len(RECORDS)
 
 
-@pytest.mark.parametrize("path", RECORDS, ids=lambda p: str(p.parent.relative_to(RUNS)))
+def test_committed_records_live_at_their_run_dir():
+    for path in RECORDS:
+        record = RunRecord.load(path)
+        assert path.parent.name == record.config_hash[:12]
+        assert path.parent == ROOT / record.config.run_dir()
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=record_id)
 def test_committed_record_verifies(path):
     record = verify(path)
     assert record.curve_errors is not None and record.error_at_table_t is not None
@@ -37,9 +54,7 @@ def _quick(path):
     return (config.model.name, config.order) not in SLOW
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in RECORDS if _quick(p)], ids=lambda p: str(p.parent.relative_to(RUNS))
-)
+@pytest.mark.parametrize("path", [p for p in RECORDS if _quick(p)], ids=record_id)
 def test_committed_record_redecomposes_exactly(path):
     stored = RunRecord.load(path)
     fresh = run_decompose(stored.config, persist=False)
@@ -55,6 +70,7 @@ def test_benchmark_table_matches_its_records():
         record = RunRecord.load(path)
         records[(record.config.model.name, record.config.order)] = record
     assert len(records) == len(table["rows"]) == 24
+    base = {r["model"]: r["error_at_t"] for r in table["rows"] if r["order"] == 1}
     for row in table["rows"]:
         record = records[(row["model"], row["order"])]
         assert row["error"] is None and row["n"] == record.config.model.n
@@ -63,3 +79,4 @@ def test_benchmark_table_matches_its_records():
         assert row["iters"] == record.iterations
         assert row["dla_dim"] == record.dla_dim
         assert row["converged"] == record.converged
+        assert row["trend"] == trend_mark(row["order"], row["error_at_t"], base[row["model"]])

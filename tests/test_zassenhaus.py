@@ -8,10 +8,11 @@ from cartansim.adjoint import CompiledAdjoint
 from cartansim.errors import ConfigError, DimensionError, ResourceLimitError, StructuralError
 from cartansim.lie import cartan_split, generate_dla
 from cartansim.models import build_model, default_benchmark_specs
+from cartansim import pauli
 from cartansim.pauli import AlgebraElement, parse_label, sort_strings, string_dense, to_dense
 from cartansim.zassenhaus import build_ansatz, k_dense, truncation_coefficients
 
-from oracles import adjoint_K, conjugate_by_factor, dense_generators, k_dense_oracle, random_label
+from oracles import adjoint_K, conjugate_by_factor, dense_generators, factor_coeff, k_dense_oracle, random_label
 
 
 def strs(*labels):
@@ -29,7 +30,7 @@ def dense_k_oracle(ansatz, theta):
     dim = 2**ansatz.n
     out = np.eye(dim, dtype=complex)
     for f in ansatz.factors:
-        out = out @ scipy.linalg.expm(1j * f.coeff(theta) * f.weight * string_dense(f.string))
+        out = out @ scipy.linalg.expm(1j * factor_coeff(f, theta) * f.weight * string_dense(f.string))
     return out
 
 
@@ -75,7 +76,7 @@ def test_xy_pair_factor_frozen():
     assert pair.scale == -0.5
     assert (pair.string.label, pair.weight) == ("Z", -2.0)
     theta = np.array([0.3, -0.7])
-    assert pair.coeff(theta) == pytest.approx(0.5 * 0.3 * 0.7)
+    assert ansatz.angles(theta)[2] == pytest.approx(-2.0 * 0.5 * 0.3 * 0.7)
 
 
 def test_order_one_is_linear_only():
@@ -288,10 +289,61 @@ def test_factors_equal_dense_nested_commutators_on_test_bases(order):
         assert_factors_are_dense_brackets(basis, order)
 
 
-def test_k_dense_respects_cap():
+# ------------------------------------------------------------ factor program
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", [spec.name for spec in GRID_SPECS])
+def test_factor_program_on_grid_models(grid_k_bases, name, order):
+    ansatz = build_ansatz(grid_k_bases[name], order=order)
+    assert len(set(ansatz.strings)) == len(ansatz.strings)
+    assert [ansatz.strings[j] for j in ansatz.string_ids] == [f.string for f in ansatz.factors]
+    rng = np.random.default_rng(order)
+    theta = rng.uniform(-1.2, 1.2, size=ansatz.parameter_count)
+    want = [factor_coeff(f, theta) * f.weight for f in ansatz.factors]
+    # one vectorized product against a factor's running product: a few ulps apart
+    assert np.allclose(ansatz.angles(theta), want, rtol=8 * np.finfo(float).eps, atol=0)
+    # angle_grad is J^T dphi of angles; every monomial is at most quadratic in
+    # one theta_i, so central differences are exact up to rounding
+    dphi = rng.standard_normal(len(ansatz.factors))
+    step = 1e-4
+    want_grad = [
+        (ansatz.angles(theta + step * e) - ansatz.angles(theta - step * e)) @ dphi / (2 * step)
+        for e in np.eye(ansatz.parameter_count)
+    ]
+    got = ansatz.angle_grad(theta, dphi)
+    assert np.allclose(got, want_grad, rtol=1e-8, atol=1e-8 * np.abs(dphi).sum())
+
+
+def test_factor_program_stays_out_of_equality_and_hash():
+    basis = strs("XY", "YX", "YI", "IY")
+    a, b = build_ansatz(basis, order=3), build_ansatz(basis, order=3)
+    a.angle_grad(np.full(4, 0.3), a.angles(np.full(4, 0.3)))
+    assert a.strings and len(a.string_ids) == len(a.factors)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_angles_check_theta_shape():
+    ansatz = build_ansatz(strs("X", "Y"), order=2)
+    for bad in (np.zeros(3), np.zeros((1, 2)), np.zeros(0)):
+        with pytest.raises(DimensionError, match="expected"):
+            ansatz.angles(bad)
+    with pytest.raises(DimensionError):
+        k_dense(ansatz, np.zeros(3))
+
+
+def test_engine_compiles_one_edge_block_per_string():
+    basis = strs("XY", "YX", "YI", "IY")
+    ansatz, engine = engine_setup(basis, 4, [])
+    assert len(engine._edges) == len(ansatz.strings) < len(ansatz.factors)
+    assert np.array_equal(engine.sub_edge, ansatz.string_ids)
+
+
+def test_k_dense_respects_cap(monkeypatch):
+    monkeypatch.setattr(pauli, "DENSE_QUBIT_CAP", 2)
     ansatz = build_ansatz(strs("XYZ"), order=1)
     with pytest.raises(ResourceLimitError):
-        k_dense(ansatz, np.zeros(1), qubit_cap=2)
+        k_dense(ansatz, np.zeros(1))
 
 
 # ------------------------------------------------------------ compiled engine
