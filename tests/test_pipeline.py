@@ -319,9 +319,14 @@ def test_verify_rejects_edited_config(xy_record, tmp_path):
         verify(path)
 
 
-TFIM_ORDER3 = Path(__file__).resolve().parents[1] / next(
-    c for c in benchmark_configs(output_dir="runs/benchmark") if (c.model.name, c.order) == ("tfim", 3)
-).run_dir() / "record.json"
+_TFIM_ORDER3_HASH = next(
+    c for c in benchmark_configs() if (c.model.name, c.order) == ("tfim", 3)
+).config_hash()
+TFIM_ORDER3 = next(
+    p
+    for p in (Path(__file__).resolve().parents[1] / "runs" / "benchmark").glob("*/record.json")
+    if json.loads(p.read_text(encoding="utf-8"))["config_hash"] == _TFIM_ORDER3_HASH
+)
 
 
 def _add_seven(doc):
