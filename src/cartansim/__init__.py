@@ -84,7 +84,6 @@ from .evolution import (
     TrotterSweep,
     error_curve,
     expm_hermitian,
-    fixed_depth_evolution,
     spectral_norm,
     trotter_step,
     trotter_sweep,

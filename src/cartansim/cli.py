@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import CartanSimError, ConfigError
@@ -21,7 +22,6 @@ from .pipeline import (
     BENCHMARK_MULTI_START,
     FORMATS,
     RunConfig,
-    benchmark_configs,
     model_pair,
     run_benchmark,
     run_cost_trace,
@@ -228,28 +228,20 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     base = _build_config(doc)
     model_doc = doc.get("model") or {}
     if model_doc.get("name"):
-        specs: tuple[ModelSpec, ...] | None = (base.model,)
+        specs: tuple[ModelSpec, ...] = (base.model,)
     elif model_doc:
         raise ConfigError("benchmark needs --model when --qubits is given")
     else:
-        specs = None  # the default model grid
+        specs = default_benchmark_specs()
     orders = (base.order,) if "order" in doc else (1, 2, 3, 4)
     if "optimizer" in doc:
         optimizer = base.optimizer
     else:
         optimizer = OptimizerOptions(multi_start=BENCHMARK_MULTI_START)
-    configs = benchmark_configs(
-        specs,
-        orders,
-        optimizer,
-        t_max=base.t_max,
-        t_points=base.t_points,
-        table_t=base.table_t,
-        output_dir=base.output_dir,
-        formats=base.formats,
-        workers=base.workers,
-        variant=base.variant,
-    )
+    # every other field of the merged config reaches each cell unchanged
+    configs = [
+        replace(base, model=spec, order=order, optimizer=optimizer) for spec in specs for order in orders
+    ]
     table = run_benchmark(configs)
     rows = table["rows"]
     print(f"{'model':>12} {'order':>5} {'n':>2} {'error_at_t':>12} {'conv':>5} "

@@ -19,7 +19,16 @@ import numpy as np
 
 from . import pauli
 from .errors import ConfigError, DimensionError, NumericalError, ResourceLimitError, StructuralError
-from .pauli import AlgebraElement, apply_rotation, bracket, commutes, string_rotation, to_dense
+from .pauli import (
+    AlgebraElement,
+    apply_rotation,
+    bracket,
+    commutes,
+    phased_permutation,
+    string_rotation,
+    to_dense,
+)
+from .zassenhaus import truncation_coefficients
 
 
 def _check_dim(dim: int) -> None:
@@ -73,26 +82,6 @@ def _commuting_exp(rotations, t: float, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def exp_element(e: AlgebraElement, t: float) -> np.ndarray:
-    """e^{-iEt} for a real-weighted sum, using closed forms when terms commute.
-
-    For pairwise-commuting support the exponential factors exactly into
-    prod_P (cos(c_P t) I - i sin(c_P t) P); otherwise falls back to the
-    eigensolver path.
-    """
-    _check_dim(2**e.n)
-    try:
-        rotations = _commuting_rotations(e)
-    except StructuralError:
-        return expm_hermitian(e, t)
-    return _commuting_exp(rotations, t, np.eye(2**e.n, dtype=complex))
-
-
-def fixed_depth_evolution(k_c: np.ndarray, h0: AlgebraElement, t: float) -> np.ndarray:
-    """U(t) = K_c^dag e^{-i h0 t} K_c with h0 on mutually commuting strings."""
-    return k_c.conj().T @ _commuting_exp(_commuting_rotations(h0), t, k_c)
-
-
 @dataclass(frozen=True)
 class ErrorCurve:
     """Spectral-norm distance between exact and fixed-depth evolution."""
@@ -106,23 +95,6 @@ class ErrorCurve:
     @property
     def max_error(self) -> float:
         return float(np.max(self.errors)) if len(self.errors) else 0.0
-
-
-def _xor_masks(a: np.ndarray) -> np.ndarray:
-    """Boolean table over x: is some entry a[r, c] with r ^ c = x nonzero?
-
-    Folds one index bit per step, highest first: the (r, c) quadrants with
-    equal top bits hold masks with that bit clear, the other two masks with
-    it set, and OR-ing each pair keeps the lower bits.  The work is O(dim^2)
-    and the largest temporary is a bool table, with no index arrays.
-    """
-    t = (a != 0)[None]
-    while t.shape[-1] > 1:
-        half = t.shape[-1] // 2
-        q = t.reshape(len(t), 2, half, 2, half)
-        t = np.stack([q[:, 0, :, 0] | q[:, 1, :, 1], q[:, 0, :, 1] | q[:, 1, :, 0]], axis=1)
-        t = t.reshape(-1, half, half)
-    return t.ravel()
 
 
 def _sectors(masks: list[int], dim: int) -> np.ndarray:
@@ -153,12 +125,14 @@ def error_curve(
 ) -> ErrorCurve:
     """|| e^{-iHt} - K_c^dag e^{-i h0 t} K_c ||_2 over a time grid.
 
-    A string P = i^y X^x Z^z sends |b> to |b ^ x>, so H, K_c and e^{-i h0 t}
-    map each coset of the GF(2) span of their masks to itself: row ^ col of
-    every nonzero entry of H and K_c, and the x-masks of h0's strings.  In a
-    basis ordered by coset all three are block-diagonal with s blocks of
-    size b = dim/s, and the norm is the largest block norm.  A generic K_c
-    spans everything and gives one block.
+    A string P = i^y X^x Z^z sends |b> to |b ^ x>, so H and e^{-i h0 t} map
+    each coset of the GF(2) span S of the x-masks of their strings to itself.
+    Distinct strings are linearly independent, so H has a nonzero entry at
+    mask x exactly when one of its strings has x-mask x, and no dense scan
+    is needed.  A K_c built from H's DLA stays in the cosets, since the DLA's
+    x-masks are XORs of H's; a K_c with a nonzero entry outside them runs as
+    one block.  In a basis ordered by coset all three are block-diagonal
+    with s blocks of size b = dim/s, and the norm is the largest block norm.
 
     Per block, with H = V diag(lam) V^dag and W = K_c V, the error is
     || e^{-i lam t} - W^dag (e^{-i h0 t} W) ||_2.  Per point, e^{-i h0 t} W
@@ -172,19 +146,23 @@ def error_curve(
     if k_c.shape != (dim, dim):
         raise DimensionError(f"K has shape {k_c.shape}, expected ({dim}, {dim})")
     rotations = _commuting_rotations(h0)
-    m = to_dense(h)
-    masks = _xor_masks((m != 0) | (k_c != 0))
-    for _, (rows, _) in rotations:
-        masks[rows[0]] = True  # rows[0] = 0 ^ x is the string's x-mask
-    blocks = _sectors(np.flatnonzero(masks).tolist(), dim)
+    # rows[0] = 0 ^ x is a string's x-mask
+    string_masks = {int(phased_permutation(p)[0][0]) for p, _ in h.items()}
+    string_masks |= {int(rows[0]) for _, (rows, _) in rotations}
+    nonzero = np.count_nonzero(k_c)
+    # the n unit masks span everything: one block, which holds any K_c
+    for masks in (sorted(string_masks), [1 << j for j in range(h.n)]):
+        blocks = _sectors(masks, dim)
+        pick = blocks[:, :, None], blocks[:, None, :]
+        if np.count_nonzero(k_c[pick]) == nonzero:
+            break
     s, b = blocks.shape
     # every rotation stays inside its block: a row gather on the coset-ordered (dim, b) W
     order = blocks.ravel()
     at = np.empty(dim, dtype=np.intp)
     at[order] = np.arange(dim)
     rotations = [(c, (at[rows[order]], g[order])) for c, (rows, g) in rotations]
-    pick = blocks[:, :, None], blocks[:, None, :]
-    m = m[pick]
+    m = to_dense(h)[pick]
     lam, vec = np.linalg.eigh(m if m.imag.any() else m.real)
     k_c = k_c[pick]
     if np.iscomplexobj(k_c) and not k_c.imag.any():
@@ -207,11 +185,6 @@ def error_curve(
 
 # ----------------------------------------------------------------- truncation
 
-def _expm_antihermitian(w: np.ndarray) -> np.ndarray:
-    """e^W for anti-Hermitian W (i.e. W = -iM with M Hermitian)."""
-    return expm_hermitian(1j * w, 1.0)
-
-
 def zassenhaus_product(
     a: AlgebraElement,
     b: AlgebraElement,
@@ -225,15 +198,13 @@ def zassenhaus_product(
     :func:`cartansim.zassenhaus.truncation_coefficients`; folding ``scale``
     into A' and B' first makes every W_k scale-homogeneous automatically.
     """
-    from .zassenhaus import truncation_coefficients
-
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"product order must be 1..4, got {order}")
     if a.n > 6 or b.n > 6:
         raise ResourceLimitError("truncated products are limited to n <= 6")
     ap = -1j * scale * to_dense(a)
     bp = -1j * scale * to_dense(b)
-    out = _expm_antihermitian(ap) @ _expm_antihermitian(bp)
+    out = expm_hermitian(1j * ap, 1.0) @ expm_hermitian(1j * bp, 1.0)
     sides = {"A": ap, "B": bp}
     for k in range(2, order + 1):
         w = np.zeros_like(ap)
@@ -243,7 +214,7 @@ def zassenhaus_product(
                 m = sides[letter]
                 nest = m @ nest - nest @ m
             w = w + coeff * nest
-        out = out @ _expm_antihermitian(w)
+        out = out @ expm_hermitian(1j * w, 1.0)  # e^W for anti-Hermitian W
     return out
 
 
@@ -325,7 +296,7 @@ def trotter_step(
     if corrected:
         c = bracket(a, b)
         if not c.is_zero():
-            step = step @ exp_element(c, -(dt * dt) / 2.0)
+            step = step @ expm_hermitian(c, -(dt * dt) / 2.0)
     return np.linalg.matrix_power(step, m)
 
 

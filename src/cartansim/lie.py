@@ -30,8 +30,8 @@ from .pauli import (
     y_parity,
 )
 
-#: Default cap on the closure dimension.  The models shipped here stay far
-#: below it; generic Hamiltonians can reach dim su(2^n) = 4^n - 1.
+#: Cap on the closure dimension, read at call time.  The models shipped here
+#: stay far below it; generic Hamiltonians can reach dim su(2^n) = 4^n - 1.
 DLA_CAP = 4096
 
 
@@ -46,23 +46,14 @@ class DlaBasis:
     def dim(self) -> int:
         return len(self.strings)
 
-    def labels(self) -> list[str]:
-        return [p.label for p in self.strings]
 
-    def __contains__(self, p: PauliString) -> bool:
-        return p in set(self.strings)
-
-    def __iter__(self):
-        return iter(self.strings)
-
-
-def generate_dla(terms: Sequence[PauliString], cap: int = DLA_CAP) -> DlaBasis:
+def generate_dla(terms: Sequence[PauliString]) -> DlaBasis:
     """Close a set of strings under the pairwise bracket.
 
     Worklist sweep: every string added to the basis is bracketed against all
     current members; new result strings join the worklist.  Terminates
     because there are only 4^n - 1 non-identity strings; raises
-    CapacityError when the basis would exceed ``cap``.
+    CapacityError when the basis would exceed ``DLA_CAP``.
     """
     if not terms:
         raise StructuralError("cannot generate a Lie algebra from zero strings")
@@ -87,9 +78,9 @@ def generate_dla(terms: Sequence[PauliString], cap: int = DLA_CAP) -> DlaBasis:
                 continue
             r = hit[1]
             if r not in basis:
-                if len(basis) >= cap:
+                if len(basis) >= DLA_CAP:
                     raise CapacityError(
-                        f"Lie closure exceeded the cap of {cap} strings at n={n}"
+                        f"Lie closure exceeded the cap of {DLA_CAP} strings at n={n}"
                     )
                 basis.add(r)
                 members.append(r)
@@ -167,14 +158,6 @@ class CartanSplit:
     @property
     def dim(self) -> int:
         return len(self.k_basis) + len(self.h_basis) + len(self.mtilde_basis)
-
-    def to_record(self) -> dict:
-        return {
-            "dla_dim": self.dim,
-            "k": [p.label for p in self.k_basis],
-            "h": [p.label for p in self.h_basis],
-            "mtilde": [p.label for p in self.mtilde_basis],
-        }
 
 
 def cartan_split(dla: DlaBasis, h_terms: Sequence[PauliString]) -> CartanSplit:

@@ -90,18 +90,11 @@ class PauliString:
         """Number of non-identity sites."""
         return (self.x | self.z).bit_count()
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
     def __str__(self) -> str:
         return self.label
 
     def __repr__(self) -> str:
         return f"PauliString({self.label!r})"
-
-
-def identity_string(n: int) -> PauliString:
-    return PauliString(n, 0, 0)
 
 
 def parse_label(label: str) -> PauliString:
@@ -217,10 +210,6 @@ class AlgebraElement:
     @classmethod
     def from_string(cls, p: PauliString, coeff: float = 1.0) -> "AlgebraElement":
         return cls(p.n, {p: coeff})
-
-    @classmethod
-    def zero(cls, n: int) -> "AlgebraElement":
-        return cls(n, {})
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping], n: int | None = None) -> "AlgebraElement":

@@ -1,4 +1,4 @@
-"""Experiment runner: decompose -> optimize -> evaluate, with persisted records.
+"""Experiment runner: decompose -> optimize -> evaluate, with saved records.
 
 A run is described by a RunConfig, executed stage by stage, and written
 out as a RunRecord (JSON) plus CSV/SVG artifacts under
@@ -247,8 +247,8 @@ def build_problem(config: RunConfig) -> Problem:
     return LAST_PROBLEM[key]
 
 
-def run_decompose(config: RunConfig, persist: bool = True) -> RunRecord:
-    """Full decompose + optimize pipeline, persisted as a RunRecord.
+def run_decompose(config: RunConfig) -> RunRecord:
+    """Full decompose + optimize pipeline, saved as a RunRecord.
 
     Stage errors carry a ``.stage`` attribute naming where the pipeline
     stopped; the record is written only on success.  ``timings_ms`` holds
@@ -288,17 +288,16 @@ def run_decompose(config: RunConfig, persist: bool = True) -> RunRecord:
         timings_ms=clock.timings_ms,
         optimizer_counters=dict(result.counters),
     )
-    if persist:
-        run_dir = config.run_dir()
-        run_dir.mkdir(parents=True, exist_ok=True)
-        if "csv" in config.formats:
-            lines = ["iteration,cost,normalized_cost,grad_inf_norm"]
-            for it, f, ginf in record.cost_trace:
-                lines.append(f"{int(it)},{f!r},{normalized_cost(f, v, h)!r},{ginf!r}")
-            (run_dir / "cost_trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-            record.artifacts["cost_trace_csv"] = "cost_trace.csv"
-        record.artifacts["record"] = "record.json"
-        record.save(run_dir / "record.json")
+    run_dir = config.run_dir()
+    run_dir.mkdir(parents=True, exist_ok=True)
+    if "csv" in config.formats:
+        lines = ["iteration,cost,normalized_cost,grad_inf_norm"]
+        for it, f, ginf in record.cost_trace:
+            lines.append(f"{int(it)},{f!r},{normalized_cost(f, v, h)!r},{ginf!r}")
+        (run_dir / "cost_trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        record.artifacts["cost_trace_csv"] = "cost_trace.csv"
+    record.artifacts["record"] = "record.json"
+    record.save(run_dir / "record.json")
     return record
 
 
@@ -523,7 +522,6 @@ def run_scaling_check(
     b: AlgebraElement | None = None,
     orders: Sequence[int] = (1, 2, 3, 4),
     output_dir: str | None = None,
-    variant: str = "standard",
 ) -> dict:
     """Truncation slopes per order plus the corrected/uncorrected sweep.
 
@@ -535,7 +533,7 @@ def run_scaling_check(
     if a is None:
         a = AlgebraElement.from_label_dict({"X": 1.0})
         b = AlgebraElement.from_label_dict({"Z": 1.0})
-    slopes = [truncation_slope(a, b, order, variant=variant) for order in orders]
+    slopes = [truncation_slope(a, b, order) for order in orders]
     sweep = trotter_sweep(a, b)
     out = {
         "slopes": [s.to_record() for s in slopes],

@@ -28,8 +28,9 @@ its chain rule ``angle_grad``) and names each distinct factor string once
 (``strings``, ``string_ids``); ``adjoint.CompiledAdjoint`` and
 :func:`k_dense` only rotate by the angles they are handed.
 
-Exact coefficient values only matter for the direct truncation experiments
-(module ``evolution``, via :func:`truncation_coefficients`); as an
+The constants in c are read from :func:`truncation_coefficients`; the
+table above shows its ``standard`` variant.  Exact values only matter for
+the direct truncation experiments (module ``evolution``); as an
 optimization ansatz the monomials merely shape the search manifold and the
 optimizer absorbs any residual constant.
 """
@@ -191,14 +192,14 @@ def build_ansatz(
     factors.  An empty basis yields the identity ansatz (no factors, no
     parameters); that happens for models whose DLA is already abelian.
     ``n`` is the qubit count, which an empty basis cannot tell; without it
-    such an ansatz acts on one qubit.  ``variant`` only changes the scale of
-    the triple_b factors (1/3 standard, 1/6 paper); the quads always take
-    C4's chain weights 1, 3, 3, 1 whatever the variant.
+    such an ansatz acts on one qubit.  Each block's scale is its leading
+    shape's weight in :func:`truncation_coefficients` for ``variant``: [A, B]
+    for pairs, [A, [A, B]] and [B, [A, B]] for triples, [A, [A, [A, B]]]
+    for quads.  The quads always take C4's chain weights 1, 3, 3, 1.
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"ansatz order must be 1..4, got {order}")
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown coefficient variant {variant!r}; choose from {VARIANTS}")
+    c2, c3, c4 = (truncation_coefficients(r, variant) for r in (2, 3, 4))
     if k_basis:
         n = k_basis[0].n if n is None else n
         for p in k_basis:
@@ -209,7 +210,6 @@ def build_ansatz(
 
     k = list(k_basis)
     d = len(k)
-    triple_b_scale = 1 / 3 if variant == "standard" else 1 / 6
     bb = lru_cache(maxsize=None)(bracket_strings)  # nested brackets share inner ones
 
     def nested(*args: PauliString) -> tuple[float, PauliString] | None:
@@ -231,12 +231,12 @@ def build_ansatz(
 
     if order >= 2:
         for i, j in combinations(range(d), 2):
-            add("pair", (i, j), nested(k[i], k[j]), -1.0, -0.5, ((i, 1), (j, 1)))
+            add("pair", (i, j), nested(k[i], k[j]), -1.0, c2["A", "B"], ((i, 1), (j, 1)))
 
     if order >= 3:
         for i, j in combinations(range(d), 2):
-            add("triple_a", (i, j), nested(k[i], k[i], k[j]), 1.0, 1 / 6, ((i, 2), (j, 1)))
-            add("triple_b", (i, j), nested(k[j], k[i], k[j]), 1.0, triple_b_scale, ((i, 1), (j, 2)))
+            add("triple_a", (i, j), nested(k[i], k[i], k[j]), 1.0, c3["A", "A", "B"], ((i, 2), (j, 1)))
+            add("triple_b", (i, j), nested(k[j], k[i], k[j]), 1.0, c3["B", "A", "B"], ((i, 1), (j, 2)))
 
     if order >= 4:
         anti = np.array([[not commutes(p, q) for q in k] for p in k], dtype=bool)
@@ -264,7 +264,8 @@ def build_ansatz(
                 w = sum(x for x, _ in hits)
                 if w:
                     g = w, hits[0][1]
-                    add("quad", (i, j, kk, ll), g, -1.0, -1 / 24, ((i, 1), (j, 1), (kk, 1), (ll, 1)))
+                    monomial = ((i, 1), (j, 1), (kk, 1), (ll, 1))
+                    add("quad", (i, j, kk, ll), g, -1.0, c4["A", "A", "A", "B"], monomial)
 
     return Ansatz(n, order, tuple(k_basis), tuple(factors))
 

@@ -7,6 +7,8 @@ keep the term-by-term dictionary conjugation (``adjoint_K`` and the cost
 on it) that the compiled engine must agree with, and the plain one-vector
 sweep loops that its lane sweeps must reproduce bit for bit.  The
 central-difference gradient is the reference the analytic one is held to.
+``fixed_depth_evolution`` assembles K^dag e^{-i h0 t} K from the string
+rotations ``error_curve`` applies, so their tests check that core directly.
 """
 
 from functools import reduce
@@ -16,6 +18,7 @@ import numpy as np
 
 from cartansim.adjoint import CompiledAdjoint
 from cartansim.errors import ConfigError, DimensionError
+from cartansim.evolution import _commuting_exp, _commuting_rotations
 from cartansim.lie import generate_dla
 from cartansim.optimize import TargetV
 from cartansim.pauli import AlgebraElement, PauliString, bracket_strings, hs_inner, sort_strings
@@ -172,6 +175,11 @@ def error_curve_oracle(h_labels: dict[str, float], k_c, h0_labels: dict[str, flo
         diff = exact - kdag @ core @ k_c
         errs.append(float(np.sqrt(max(np.linalg.eigvalsh(diff.conj().T @ diff)[-1], 0.0))))
     return np.asarray(errs)
+
+
+def fixed_depth_evolution(k_c: np.ndarray, h0: AlgebraElement, t: float) -> np.ndarray:
+    """U(t) = K_c^dag e^{-i h0 t} K_c with h0 on mutually commuting strings."""
+    return k_c.conj().T @ _commuting_exp(_commuting_rotations(h0), t, k_c)
 
 
 def conjugate_by_factor(

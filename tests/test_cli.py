@@ -121,6 +121,19 @@ def test_config_file_alone(tmp_path, capsys):
     assert record.config.order == 1
 
 
+def test_benchmark_cells_take_every_config_file_field(tmp_path, capsys):
+    doc = {"t_points": 3, "variant": "paper", "output_dir": str(tmp_path)}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(doc))
+    argv = ("benchmark", "--config", str(cfg_path), "--model", "xy", "--order", "1", "--workers", "1")
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    (path,) = tmp_path.glob("*/record.json")
+    record = RunRecord.load(path)
+    assert (record.config.t_points, record.config.variant) == (3, "paper")
+    assert len(record.curve_ts) == 3
+
+
 # ----------------------------------------------------------------- exit codes
 
 def test_usage_error_exits_two(capsys):
@@ -194,7 +207,7 @@ def test_stage_name_reported_on_failure(tmp_path, capsys, monkeypatch):
     path = record_path_from(capsys)
     pipeline.LAST_PROBLEM.clear()
 
-    def boom(terms, cap=None):
+    def boom(terms):
         raise CapacityError("too big")
 
     monkeypatch.setattr(pipeline, "generate_dla", boom)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cartansim import lie
 from cartansim.errors import CapacityError, StructuralError
 from cartansim.lie import (
     CartanSplit,
@@ -30,13 +31,13 @@ TFIM2 = strs("XX", "ZI", "IZ")
 
 def test_single_string_is_self_closed():
     dla = generate_dla(strs("ZZ"))
-    assert dla.labels() == ["ZZ"]
+    assert [p.label for p in dla.strings] == ["ZZ"]
 
 
 def test_tfim_n2_closure_frozen():
     dla = generate_dla(TFIM2)
     assert dla.dim == 6
-    assert dla.labels() == ["XX", "ZI", "YX", "IZ", "XY", "YY"]  # canonical (z, x)
+    assert [p.label for p in dla.strings] == ["XX", "ZI", "YX", "IZ", "XY", "YY"]  # canonical (z, x)
     assert closure_dim(["XX", "ZI", "IZ"]) == 6
 
 
@@ -73,10 +74,11 @@ def test_closure_contains_generators_and_is_bracket_closed():
             assert hit is None or hit[1] in basis
 
 
-def test_capacity_cap_raises():
+def test_capacity_cap_raises(monkeypatch):
+    monkeypatch.setattr(lie, "DLA_CAP", 5)
     terms = strs("XXX", "ZZI", "IYX", "ZIZ")
     with pytest.raises(CapacityError, match="5"):
-        generate_dla(terms, cap=5)
+        generate_dla(terms)
 
 
 def test_generators_must_agree_on_n():
@@ -159,8 +161,8 @@ def test_cartan_relations_tfim_n2():
     report = verify_cartan_relations(split)
     assert report.ok and report.summary() == "all Cartan relations hold"
     require_valid_split(split)  # should not raise
-    assert split.to_record()["dla_dim"] == 6
-    assert split.to_record()["h"] == ["XX", "YY"]
+    assert split.dim == 6
+    assert [p.label for p in split.h_basis] == ["XX", "YY"]
 
 
 def test_cartan_relations_detect_corruption():

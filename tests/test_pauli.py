@@ -15,7 +15,6 @@ from cartansim.pauli import (
     canonical_key,
     commutes,
     hs_inner,
-    identity_string,
     parse_label,
     pauli_mul,
     phased_permutation,
@@ -63,7 +62,7 @@ def test_pauli_string_validation():
         PauliString(13, 0, 0)
     with pytest.raises(DimensionError):
         PauliString(2, 4, 0)  # x needs 3 bits
-    assert identity_string(3).is_identity()
+    assert PauliString(3, 0, 0).label == "III"
 
 
 # ---------------------------------------------------------------- products

@@ -195,7 +195,7 @@ def test_stage_error_carries_stage_name(tmp_path, monkeypatch):
     record = run_decompose(config)
     pipeline.LAST_PROBLEM.clear()
 
-    def boom(terms, cap=None):
+    def boom(terms):
         raise CapacityError("too big")
 
     monkeypatch.setattr(pipeline, "generate_dla", boom)
@@ -319,13 +319,10 @@ def test_verify_rejects_edited_config(xy_record, tmp_path):
         verify(path)
 
 
-_TFIM_ORDER3_HASH = next(
-    c for c in benchmark_configs() if (c.model.name, c.order) == ("tfim", 3)
-).config_hash()
-TFIM_ORDER3 = next(
-    p
-    for p in (Path(__file__).resolve().parents[1] / "runs" / "benchmark").glob("*/record.json")
-    if json.loads(p.read_text(encoding="utf-8"))["config_hash"] == _TFIM_ORDER3_HASH
+TFIM_ORDER3 = (
+    Path(__file__).resolve().parents[1]
+    / benchmark_configs((ModelSpec("tfim", 4),), (3,), output_dir="runs/benchmark")[0].run_dir()
+    / "record.json"
 )
 
 

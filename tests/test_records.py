@@ -6,12 +6,13 @@ each to 1e-12 of the stored value, so this guards that contract across any
 change to the dense layer.  Re-decomposing holds the optimizer to its
 recorded trajectory bit for bit, so a change to the sweeps or the minimizer
 that moves any float shows here.  The committed benchmark table must come
-from the same run as the records beside it.  Verify tests are named
-<group>/<model>-n<n>-o<order>, so a regenerated record keeps their names;
-re-decompose tests are still named by the record's directory.
+from the same run as the records beside it, and every record lives at its
+configuration's ``run_dir()``.  Tests are named <group>/<model>-n<n>-o<order>,
+so a regenerated record keeps its tests' names.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ import pytest
 from cartansim import RunRecord, run_decompose, verify
 from cartansim.pipeline import trend_mark
 
-RUNS = Path(__file__).resolve().parents[1] / "runs"
+ROOT = Path(__file__).resolve().parents[1]
+RUNS = ROOT / "runs"
 RECORDS = sorted(RUNS.rglob("record.json"))
 # heisenberg orders 3-4 take several seconds each to re-decompose
 SLOW = {("heisenberg", 3), ("heisenberg", 4)}
@@ -35,6 +37,13 @@ def test_committed_records_are_found():
     assert len({record_id(p) for p in RECORDS}) == len(RECORDS)
 
 
+def test_committed_records_live_at_their_run_dir():
+    for path in RECORDS:
+        record = RunRecord.load(path)
+        assert path.parent.name == record.config_hash[:12]
+        assert path.parent == ROOT / record.config.run_dir()
+
+
 @pytest.mark.parametrize("path", RECORDS, ids=record_id)
 def test_committed_record_verifies(path):
     record = verify(path)
@@ -46,12 +55,10 @@ def _quick(path):
     return (config.model.name, config.order) not in SLOW
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in RECORDS if _quick(p)], ids=lambda p: str(p.parent.relative_to(RUNS))
-)
-def test_committed_record_redecomposes_exactly(path):
+@pytest.mark.parametrize("path", [p for p in RECORDS if _quick(p)], ids=record_id)
+def test_committed_record_redecomposes_exactly(path, tmp_path):
     stored = RunRecord.load(path)
-    fresh = run_decompose(stored.config, persist=False)
+    fresh = run_decompose(replace(stored.config, output_dir=str(tmp_path)))
     assert fresh.theta_star == stored.theta_star
     assert fresh.iterations == stored.iterations
     assert fresh.cost_trace == stored.cost_trace
