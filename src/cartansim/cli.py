@@ -199,8 +199,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         f"converged={record.converged} iterations={record.iterations} "
         f"final_cost={record.final_cost:.9g} grad_inf={record.final_grad_inf:.3e}"
     )
-    print(f"residual_fro={record.residual_fro:.6e} relative={record.residual_rel:.6e}")
+    print(
+        f"residual_fro={record.residual_fro:.6e} relative={record.residual_rel:.6e} "
+        f"decomposed={record.decomposed}"
+    )
     print("optimizer: " + " ".join(f"{k}={v}" for k, v in record.optimizer_counters.items()))
+    for start in record.starts:
+        rel = "-" if start["residual_rel"] is None else f"{start['residual_rel']:.3e}"
+        print(f"start seed={start['seed']}: {start['outcome']} iterations={start['iterations']} relative={rel}")
     print(f"record: {config.run_dir() / 'record.json'}")
     return 0
 
@@ -244,18 +250,18 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     ]
     table = run_benchmark(configs)
     rows = table["rows"]
-    print(f"{'model':>12} {'order':>5} {'n':>2} {'error_at_t':>12} {'conv':>5} "
+    print(f"{'model':>12} {'order':>5} {'n':>2} {'error_at_t':>12} {'conv':>5} {'dec':>5} "
           f"{'residual':>12} {'dla':>4} {'iters':>5} {'trend':>11}")
     failed = 0
     for r in rows:
         if r["error"] is not None:
             failed += 1
-            print(f"{r['model']:>12} {r['order']:>5} {r['n']:>2} {'-':>12} {'-':>5} "
+            print(f"{r['model']:>12} {r['order']:>5} {r['n']:>2} {'-':>12} {'-':>5} {'-':>5} "
                   f"{'-':>12} {'-':>4} {'-':>5} failed: {r['error']}")
             continue
         print(
             f"{r['model']:>12} {r['order']:>5} {r['n']:>2} {r['error_at_t']:>12.3e} "
-            f"{str(r['converged']).lower():>5} {r['residual']:>12.3e} "
+            f"{str(r['converged']).lower():>5} {str(r['decomposed']).lower():>5} {r['residual']:>12.3e} "
             f"{r['dla_dim']:>4} {r['iters']:>5} {r['trend']:>11}"
         )
     out = Path(base.output_dir)

@@ -34,6 +34,7 @@ from .lie import (
 )
 from .models import ModelSpec, build_model, default_benchmark_specs
 from .optimize import (
+    DECOMPOSED_TOL,
     OptimizationResult,
     OptimizerOptions,
     TargetV,
@@ -135,9 +136,40 @@ class RunConfig:
         return Path(self.output_dir) / self.config_hash()[:12]
 
 
+class CostTrace:
+    """A run's (iteration, cost, grad inf-norm) rows, held as one float array.
+
+    Long runs record thousands of rows, which take 24 bytes each here against
+    about 160 as lists of Python numbers, and callers may hold many records.
+    Rows iterate as (int, float, float); traces compare equal entry by entry.
+    """
+
+    def __init__(self, rows) -> None:
+        self.array = np.array(rows, dtype=float).reshape(-1, 3)
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __iter__(self):
+        for it, f, ginf in self.array.tolist():
+            yield int(it), f, ginf
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CostTrace) and np.array_equal(self.array, other.array)
+
+    def __repr__(self) -> str:
+        return f"CostTrace({len(self)} rows)"
+
+
 @dataclass
 class RunRecord:
-    """Persisted outcome of one decompose/evaluate run."""
+    """Persisted outcome of one decompose/evaluate run.
+
+    ``decomposed`` is the success test: residual_rel at or below
+    optimize.DECOMPOSED_TOL, which ``converged`` (a small gradient) alone
+    does not imply.  ``starts`` holds one summary per optimizer start that
+    ran (see optimize_theta), the winner's outcome reading ``won``.
+    """
 
     config: RunConfig
     config_hash: str
@@ -150,29 +182,36 @@ class RunRecord:
     iterations: int
     final_cost: float
     final_grad_inf: float
-    cost_trace: list
+    cost_trace: CostTrace
     h0: list
     residual_fro: float
     residual_rel: float
+    decomposed: bool
     curve_ts: list | None = None
     curve_errors: list | None = None
     error_at_table_t: float | None = None
     timings_ms: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
     version: str = RECORD_VERSION
-    # optimize.COUNTERS summed over starts; records written before it load as {}
+    # optimize.COUNTERS summed over the starts that ran; records written
+    # before it load as {}
     optimizer_counters: dict = field(default_factory=dict)
+    # records written before the per-start summaries load as []
+    starts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
         d["config"] = self.config.to_dict()
+        d["cost_trace"] = [list(row) for row in self.cost_trace]
         return d
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunRecord":
         kwargs = dict(d)
         kwargs["config"] = RunConfig.from_dict(kwargs["config"])
-        kwargs["cost_trace"] = [list(row) for row in kwargs["cost_trace"]]
+        kwargs["cost_trace"] = CostTrace(kwargs["cost_trace"])
+        # records written before the flag carry it implicitly in residual_rel
+        kwargs.setdefault("decomposed", kwargs["residual_rel"] <= DECOMPOSED_TOL)
         return cls(**kwargs)
 
     def save(self, path: str | Path) -> None:
@@ -260,10 +299,16 @@ def run_decompose(config: RunConfig) -> RunRecord:
     cost_fn, grad_fn, engine = clock.run(
         "make_cost_functions", make_cost_functions, ansatz, dla.strings, v, h
     )
+    h_norm = h.norm()
+
+    def residual_fn(theta):
+        return extract_h0(engine, theta, h, split.h_basis)[1] / h_norm
+
     result: OptimizationResult = clock.run(
-        "optimize", optimize_theta, cost_fn, grad_fn, ansatz.parameter_count, config.optimizer
+        "optimize", optimize_theta, cost_fn, grad_fn, ansatz.parameter_count, residual_fn, config.optimizer
     )
     h0, residual = clock.run("extract_h0", extract_h0, engine, result.theta_star, h, split.h_basis)
+    residual_rel = residual / h_norm
 
     record = RunRecord(
         config=config,
@@ -281,12 +326,14 @@ def run_decompose(config: RunConfig) -> RunRecord:
         iterations=result.iterations,
         final_cost=result.final_cost,
         final_grad_inf=result.final_grad_inf,
-        cost_trace=[list(row) for row in result.cost_trace],
+        cost_trace=CostTrace(result.cost_trace),
         h0=h0.to_records(),
         residual_fro=residual,
-        residual_rel=residual / h.norm(),
+        residual_rel=residual_rel,
+        decomposed=residual_rel <= DECOMPOSED_TOL,
         timings_ms=clock.timings_ms,
         optimizer_counters=dict(result.counters),
+        starts=result.starts,
     )
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -346,7 +393,7 @@ def run_error_curve(config: RunConfig, record: RunRecord | None = None) -> RunRe
     return record
 
 
-BENCHMARK_COLUMNS = "model,order,n,error_at_t,converged,residual,dla_dim,iters,wall_ms"
+BENCHMARK_COLUMNS = "model,order,n,error_at_t,converged,decomposed,residual,dla_dim,iters,wall_ms"
 BENCHMARK_MULTI_START = 2
 
 
@@ -359,8 +406,9 @@ def benchmark_configs(
     """The {model} x {order} grid with benchmark-grade optimizer settings.
 
     Benchmark cells default to multi_start=2: the comparison needs every
-    cell at its converged floor, and a second seeded start costs little
-    while covering the occasional start that lands in a poor local minimum.
+    cell decomposed, and a second seeded start, which runs only when the
+    first does not decompose, covers the occasional start that lands in a
+    poor local minimum.
     """
     specs = tuple(specs) if specs is not None else default_benchmark_specs()
     optimizer = optimizer or OptimizerOptions(multi_start=BENCHMARK_MULTI_START)
@@ -377,12 +425,15 @@ def _benchmark_cell(config: RunConfig) -> dict:
     try:
         record = run_error_curve(config)
     except CartanSimError as err:
-        row.update(error_at_t=None, converged=False, residual=None, dla_dim=None, iters=None)
+        row.update(
+            error_at_t=None, converged=False, decomposed=False, residual=None, dla_dim=None, iters=None
+        )
         error = f"{getattr(err, 'stage', 'run')}: {err}"
     else:
         row.update(
             error_at_t=record.error_at_table_t,
             converged=record.converged,
+            decomposed=record.decomposed,
             residual=record.residual_fro,
             dla_dim=record.dla_dim,
             iters=record.iterations,
@@ -418,7 +469,8 @@ def run_benchmark(configs: Sequence[RunConfig] | None = None, **overrides) -> di
         configs = benchmark_configs(**overrides)
     if not configs:
         raise ConfigError("benchmark needs at least one configuration")
-    workers = configs[0].workers or os.cpu_count() or 1
+    # a single cell runs in this process; a pool never outnumbers the cells
+    workers = min(configs[0].workers or os.cpu_count() or 1, len(configs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_benchmark_cell, configs))
@@ -442,6 +494,7 @@ def run_benchmark(configs: Sequence[RunConfig] | None = None, **overrides) -> di
                 str(r["n"]),
                 "" if r["error_at_t"] is None else repr(r["error_at_t"]),
                 str(r["converged"]).lower(),
+                str(r["decomposed"]).lower(),
                 "" if r["residual"] is None else repr(r["residual"]),
                 "" if r["dla_dim"] is None else str(r["dla_dim"]),
                 "" if r["iters"] is None else str(r["iters"]),
@@ -583,6 +636,9 @@ def verify(record_path: str | Path) -> RunRecord:
     h0, residual = extract_h0(engine, theta, prob.h, prob.split.h_basis)
     if abs(residual - record.residual_fro) > VERIFY_TOL:
         raise NumericalError(f"residual_fro {residual!r} != stored {record.residual_fro!r}")
+    decomposed = residual / prob.h.norm() <= DECOMPOSED_TOL
+    if decomposed != record.decomposed:
+        raise NumericalError(f"decomposed {decomposed} != stored {record.decomposed}")
     stored_h0 = AlgebraElement.from_records(record.h0, n=config.model.n)
     if not h0.allclose(stored_h0, tol=VERIFY_TOL):
         raise NumericalError("h0 coefficients do not reproduce from theta*")

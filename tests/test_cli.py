@@ -27,8 +27,9 @@ def test_decompose_exit_zero(tmp_path, capsys):
     code = run_cli("decompose", *XY, "--order", "1", "--output", str(tmp_path))
     assert code == 0
     out = capsys.readouterr().out
-    assert "converged=True" in out
-    assert "optimizer: cost_evals=" in out and "forward_reuses=" in out
+    assert "converged=True" in out and "decomposed=True" in out
+    assert "optimizer: cost_evals=" in out and "forward_reuses=" in out and "backtracks=" in out
+    assert "start seed=7: won iterations=" in out
     assert "record:" in out
 
 

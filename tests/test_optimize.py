@@ -6,10 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
+from cartansim import optimize
 from cartansim.errors import ConfigError, NumericalError, StagnationError, StructuralError
 from cartansim.lie import cartan_split, generate_dla
 from cartansim.optimize import (
     COUNTERS,
+    DECOMPOSED_TOL,
     OptimizerOptions,
     bfgs_minimize,
     extract_h0,
@@ -37,6 +39,27 @@ def tfim2_setup(order=2):
     ansatz = build_ansatz(list(split.k_basis), order=order)
     v = make_target_v(list(split.h_basis))
     return h, dla, split, ansatz, v
+
+
+def residual_fn_of(engine, h, split):
+    """The relative residual ||K H K^dag - h0|| / ||H||, as run_decompose passes it."""
+    return lambda th: extract_h0(engine, th, h, split.h_basis)[1] / h.norm()
+
+
+def never_decomposed(th):
+    return 1.0
+
+
+def double_well_cost(th):
+    # seeded draws at init_scale 1.5 land in two basins: seeds 1-4 at
+    # x = -1.05745 (cost -0.515), seeds 0 and 5 at x = 0.93040 (cost 0.483)
+    x = float(th[0])
+    return (x * x - 1.0) ** 2 + 0.5 * x
+
+
+def double_well_grad(th):
+    x = float(th[0])
+    return np.array([4.0 * x * (x * x - 1.0) + 0.5])
 
 
 # ---------------------------------------------------------------- target v
@@ -213,32 +236,111 @@ def test_bfgs_determinism_on_pipeline_cost():
 def test_optimize_theta_single_start_matches_bfgs():
     h, dla, split, ansatz, v = tfim2_setup(order=2)
     opts = OptimizerOptions(seed=7)
-    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h)
+    cost_fn, grad_fn, engine = make_cost_functions(ansatz, dla.strings, v, h)
     direct = bfgs_minimize(cost_fn, grad_fn, initial_theta(ansatz.parameter_count, opts), opts)
-    wrapped = optimize_theta(cost_fn, grad_fn, ansatz.parameter_count, opts)
+    wrapped = optimize_theta(cost_fn, grad_fn, ansatz.parameter_count, residual_fn_of(engine, h, split), opts)
     assert np.array_equal(direct.theta_star, wrapped.theta_star)
     assert direct.cost_trace == wrapped.cost_trace
+    assert [s["outcome"] for s in wrapped.starts] == ["won"]
 
 
 def test_optimize_theta_restart_takes_lower_cost():
     # a deliberately multi-modal cost: seeded draws land in different basins,
-    # and the restart driver must keep the genuinely lower one
-    def cost_fn(th):
-        x = float(th[0])
-        return (x * x - 1.0) ** 2 + 0.5 * x
-
-    def grad_fn(th):
-        x = float(th[0])
-        return np.array([4.0 * x * (x * x - 1.0) + 0.5])
-
+    # and among starts tied on residual (none decomposes) the restart driver
+    # must keep the genuinely lower cost
     singles = []
     for seed in (0, 1, 2, 3):
         opts = OptimizerOptions(seed=seed, init_scale=1.5)
-        singles.append(bfgs_minimize(cost_fn, grad_fn, initial_theta(1, opts), opts).final_cost)
+        singles.append(bfgs_minimize(double_well_cost, double_well_grad, initial_theta(1, opts), opts).final_cost)
     assert max(singles) - min(singles) > 0.5  # both basins are actually visited
-    multi = optimize_theta(cost_fn, grad_fn, 1, OptimizerOptions(seed=0, init_scale=1.5, multi_start=4))
+    opts = OptimizerOptions(seed=0, init_scale=1.5, multi_start=4)
+    multi = optimize_theta(double_well_cost, double_well_grad, 1, never_decomposed, opts)
     assert multi.final_cost == pytest.approx(min(singles), abs=1e-9)
     assert multi.theta_star[0] == pytest.approx(-1.05745, abs=1e-3)
+
+
+def test_lower_residual_beats_lower_cost():
+    # neither start decomposes; the first ends at the lower cost but the
+    # larger residual (tfxy n=4 order 4: 6.3e-2 against 1.8e-3), and loses
+    def residual_fn(th):
+        return 6.3e-2 if th[0] < 0 else 1.8e-3
+
+    opts = OptimizerOptions(seed=4, init_scale=1.5, multi_start=2)
+    result = optimize_theta(double_well_cost, double_well_grad, 1, residual_fn, opts)
+    assert result.theta_star[0] == pytest.approx(0.93040, abs=1e-3)
+    lost, won = result.starts
+    assert lost["final_cost"] < won["final_cost"]
+    assert (lost["outcome"], lost["residual_rel"]) == ("lost", 6.3e-2)
+    assert (won["outcome"], won["residual_rel"], won["seed"]) == ("won", 1.8e-3, 5)
+    assert not lost["decomposed"] and not won["decomposed"]
+
+
+def counting_bfgs(monkeypatch):
+    """Count optimize_theta's calls of bfgs_minimize, keeping their results."""
+    calls = []
+    real = optimize.bfgs_minimize
+
+    def bfgs(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(optimize, "bfgs_minimize", bfgs)
+    return calls
+
+
+def test_first_decomposed_start_ends_the_retry(monkeypatch):
+    h, dla, split, ansatz, v = tfim2_setup(order=2)
+    cost_fn, grad_fn, engine = make_cost_functions(ansatz, dla.strings, v, h)
+    calls = counting_bfgs(monkeypatch)
+    opts = OptimizerOptions(seed=7, multi_start=3)
+    result = optimize_theta(cost_fn, grad_fn, ansatz.parameter_count, residual_fn_of(engine, h, split), opts)
+    assert len(calls) == 1
+    assert result.counters == calls[0].counters
+    assert np.array_equal(result.theta_star, calls[0].theta_star)
+    (start,) = result.starts
+    assert start["outcome"] == "won" and start["decomposed"] and start["seed"] == 7
+    assert start["residual_rel"] <= DECOMPOSED_TOL
+    assert start["iterations"] == result.iterations and start["final_cost"] == result.final_cost
+
+
+def test_undecomposed_first_start_runs_the_second(monkeypatch):
+    h, dla, split, ansatz, v = tfim2_setup(order=2)
+    cost_fn, grad_fn, _ = make_cost_functions(ansatz, dla.strings, v, h)
+    residuals = iter([0.5, 0.0])
+    calls = counting_bfgs(monkeypatch)
+    opts = OptimizerOptions(seed=7, multi_start=3)
+    result = optimize_theta(cost_fn, grad_fn, ansatz.parameter_count, lambda th: next(residuals), opts)
+    assert len(calls) == 2  # the second start decomposes, so the third never runs
+    assert np.array_equal(result.theta_star, calls[1].theta_star)
+    assert [(s["seed"], s["outcome"], s["decomposed"]) for s in result.starts] == [
+        (7, "lost", False),
+        (8, "won", True),
+    ]
+    for name in COUNTERS:
+        assert result.counters[name] == calls[0].counters[name] + calls[1].counters[name]
+
+
+def test_stalled_start_is_summarized_and_skipped(monkeypatch):
+    calls = counting_bfgs(monkeypatch)
+    counted = optimize.bfgs_minimize
+
+    def stall_first(cost_fn, grad_fn, theta0, options):
+        if options.seed == 0:
+            err = StagnationError("synthetic stall")
+            err.iteration, err.counters = 3, {"cost_evals": 5}
+            raise err
+        return counted(cost_fn, grad_fn, theta0, options)
+
+    monkeypatch.setattr(optimize, "bfgs_minimize", stall_first)
+    opts = OptimizerOptions(seed=0, init_scale=1.5, multi_start=2)
+    result = optimize_theta(double_well_cost, double_well_grad, 1, never_decomposed, opts)
+    stalled, won = result.starts
+    assert stalled == {
+        "seed": 0, "iterations": 3, "final_cost": None, "residual_rel": None,
+        "decomposed": False, "outcome": "stalled",
+    }
+    assert (won["seed"], won["outcome"]) == (1, "won")
+    assert result.counters["cost_evals"] == 5 + calls[0].counters["cost_evals"]
 
 
 def test_counters_tally_calls_and_sum_over_starts():
@@ -249,7 +351,8 @@ def test_counters_tally_calls_and_sum_over_starts():
         bfgs_minimize(cost_fn, grad_fn, initial_theta(ansatz.parameter_count, o), o)
         for o in (opts, OptimizerOptions(seed=8))
     ]
-    multi = optimize_theta(cost_fn, grad_fn, ansatz.parameter_count, opts)
+    # no start decomposes, so both run and the counters sum over both
+    multi = optimize_theta(cost_fn, grad_fn, ansatz.parameter_count, never_decomposed, opts)
     assert set(multi.counters) == set(COUNTERS)
     for name in COUNTERS:
         assert multi.counters[name] == sum(r.counters[name] for r in singles)
@@ -268,7 +371,7 @@ def test_counters_tally_calls_and_sum_over_starts():
         return grad_fn(th)
 
     hits = grad_fn.forward_reuses
-    wrapped = optimize_theta(cost, grad, ansatz.parameter_count, opts)
+    wrapped = optimize_theta(cost, grad, ansatz.parameter_count, never_decomposed, opts)
     assert np.array_equal(wrapped.theta_star, multi.theta_star)
     assert calls["cost"] == wrapped.counters["cost_evals"] == multi.counters["cost_evals"]
     assert calls["grad"] == wrapped.counters["grad_evals"]
@@ -316,6 +419,7 @@ def test_counters_on_a_stalled_start():
     # one backtracking run, a steepest-descent retry with the metric reset,
     # then a polish on a zero Hessian, whose 2m differenced gradients count
     assert c["metric_resets"] == 1 and c["polish_attempts"] == c["polish_failures"] == 1
+    assert c["backtracks"] == 2 * 60  # every trial of both searches is rejected
     assert c["grad_evals"] == len(grads) >= 1 + 2 * 2
     # both polish directions are zero: a trial step that lands back on theta
     # is tried once, not once per backtrack
@@ -330,7 +434,7 @@ def test_optimize_theta_propagates_when_all_starts_fail():
         return np.zeros_like(np.asarray(th, dtype=float))
 
     with pytest.raises(NumericalError):
-        optimize_theta(bad_cost, zero_grad, 2, OptimizerOptions(multi_start=3))
+        optimize_theta(bad_cost, zero_grad, 2, never_decomposed, OptimizerOptions(multi_start=3))
 
 
 # ---------------------------------------------------------------- h0

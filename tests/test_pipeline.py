@@ -14,11 +14,12 @@ from cartansim import (
     OptimizerOptions,
 )
 from cartansim.models import ModelSpec, default_benchmark_specs
-from cartansim.optimize import COUNTERS
+from cartansim.optimize import COUNTERS, DECOMPOSED_TOL
 from cartansim.pauli import AlgebraElement, bracket, commutes
 from cartansim import pipeline
 from cartansim.pipeline import (
     BENCHMARK_COLUMNS,
+    CostTrace,
     RunConfig,
     RunRecord,
     benchmark_configs,
@@ -138,15 +139,23 @@ def test_decompose_record_contents(xy_record):
     counters = record.optimizer_counters
     assert set(counters) == set(COUNTERS)
     assert counters["cost_evals"] >= record.iterations and counters["forward_reuses"] >= 1
+    assert record.cost_trace.array.shape == (record.iterations + 1, 3)  # rows 0..iterations
+    assert record.decomposed and record.residual_rel <= DECOMPOSED_TOL
+    (start,) = record.starts  # the default single start
+    assert start["outcome"] == "won" and start["decomposed"]
+    assert start["residual_rel"] == record.residual_rel
+    assert (start["seed"], start["iterations"]) == (config.optimizer.seed, record.iterations)
 
 
 def test_records_without_counters_still_load(xy_record, tmp_path):
     config, record = xy_record
     doc = json.loads((config.run_dir() / "record.json").read_text())
-    del doc["optimizer_counters"]
+    for key in ("optimizer_counters", "decomposed", "starts"):
+        del doc[key]
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))
-    assert RunRecord.load(path).optimizer_counters == {}
+    old = RunRecord.load(path)
+    assert (old.optimizer_counters, old.starts, old.decomposed) == ({}, [], True)
     assert verify(path).optimizer_counters == {}
 
 
@@ -179,6 +188,14 @@ def test_record_round_trip(xy_record):
     loaded = RunRecord.load(config.run_dir() / "record.json")
     assert loaded == record
     assert json.dumps(loaded.to_dict(), sort_keys=True) == json.dumps(record.to_dict(), sort_keys=True)
+
+
+def test_cost_trace_compares_every_entry(xy_record):
+    _, record = xy_record
+    rows = [list(row) for row in record.cost_trace]
+    assert CostTrace(rows) == record.cost_trace and all(type(row[0]) is int for row in rows)
+    rows[-1][1] = float(np.nextafter(rows[-1][1], np.inf))  # one ulp
+    assert CostTrace(rows) != record.cost_trace
 
 
 def test_reruns_are_bit_identical(tmp_path):
@@ -326,6 +343,19 @@ TFIM_ORDER3 = (
 )
 
 
+def test_verify_rejects_a_flipped_decomposed_flag(xy_record, tmp_path):
+    config, _ = xy_record
+    # the xy record decomposes; tfim n=4 order 3 stops at residual_rel 7e-2
+    for source, stored in ((config.run_dir() / "record.json", True), (TFIM_ORDER3, False)):
+        doc = json.loads(source.read_text())
+        assert doc["decomposed"] is stored
+        doc["decomposed"] = not stored
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NumericalError, match="decomposed"):
+            verify(path)
+
+
 def _add_seven(doc):
     doc["factor_counts"] = {kind: c + 7 for kind, c in doc["factor_counts"].items()}
 
@@ -401,7 +431,8 @@ def test_benchmark_small_grid(tmp_path):
     assert all(r["error"] is None for r in rows)
     lines = (tmp_path / "benchmark.csv").read_text().splitlines()
     assert lines[0] == BENCHMARK_COLUMNS
-    assert lines[0] == "model,order,n,error_at_t,converged,residual,dla_dim,iters,wall_ms"
+    assert lines[0] == "model,order,n,error_at_t,converged,decomposed,residual,dla_dim,iters,wall_ms"
+    assert all(r["decomposed"] for r in rows)
     assert len(lines) == 3
     doc = json.loads((tmp_path / "benchmark.json").read_text())
     assert doc["columns"] == BENCHMARK_COLUMNS.split(",")
@@ -460,6 +491,17 @@ def test_benchmark_default_grid_shape():
     assert all(c.optimizer.multi_start >= 2 for c in configs)
     names = {c.model.name for c in configs}
     assert names == {"tfim", "xy", "tfxy", "heisenberg", "kitaev_even", "kitaev_odd"}
+
+
+def test_one_cell_benchmark_runs_without_a_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-cell benchmark started a process pool")
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    configs = benchmark_configs(specs=(ModelSpec("xy", 3),), orders=(1,), output_dir=str(tmp_path), t_points=5)
+    assert configs[0].workers is None
+    (row,) = run_benchmark(configs)["rows"]
+    assert row["error"] is None and row["decomposed"]
 
 
 def test_benchmark_rejects_empty():

@@ -80,4 +80,5 @@ def test_benchmark_table_matches_its_records():
         assert row["iters"] == record.iterations
         assert row["dla_dim"] == record.dla_dim
         assert row["converged"] == record.converged
+        assert row["decomposed"] == record.decomposed
         assert row["trend"] == trend_mark(row["order"], row["error_at_t"], base[row["model"]])
