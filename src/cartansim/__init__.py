@@ -33,6 +33,7 @@ from .errors import (
 from .pauli import (
     AlgebraElement,
     PauliString,
+    SymmetryFrame,
     bracket,
     bracket_strings,
     canonical_key,
@@ -43,6 +44,7 @@ from .pauli import (
     phased_permutation,
     sort_strings,
     string_dense,
+    symmetry_frame,
     to_dense,
     y_parity,
 )

@@ -4,7 +4,9 @@ Subcommands: decompose, benchmark, curve, cost-trace, scaling, verify.
 Settings come from defaults, then an optional JSON config file (--config),
 then flags, each layer overriding the previous one.  Exit status is zero
 only when every requested stage succeeded; failures map to the error
-taxonomy (2 config, 3 structural, 4 optimizer, 5 numerical).
+taxonomy (2 config, 3 structural, 4 optimizer, 5 numerical).  ``benchmark``
+exits 4 when a cell ran but did not decompose, after its table is written,
+and 1 when a cell failed with an error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import CartanSimError, ConfigError
+from .errors import CartanSimError, ConfigError, OptimizerError
 from .models import MODEL_NAMES, ModelSpec, default_benchmark_specs
 from .optimize import OptimizerOptions
 from .pipeline import (
@@ -270,8 +272,13 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
             print(f"table: {out / name}")
     if failed:
         print(f"{failed} of {len(rows)} cells failed", file=sys.stderr)
-        return 1
-    return 0
+    # written and printed first: the table shows what the typed error names
+    stuck = [
+        f"{r['model']} n={r['n']} order {r['order']}" for r in rows if r["error"] is None and not r["decomposed"]
+    ]
+    if stuck:
+        raise OptimizerError(f"{len(stuck)} of {len(rows)} cells did not decompose: {', '.join(stuck)}")
+    return 1 if failed else 0
 
 
 def _cmd_cost_trace(args: argparse.Namespace) -> int:

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, PauliParseError, ResourceLimitError
+from .errors import DimensionError, PauliParseError, ResourceLimitError, StructuralError
 
 #: Hard cap on the qubit count of a single string (bit-vector bookkeeping
 #: stays cheap and every dense matrix stays addressable).
@@ -369,6 +369,203 @@ def to_dense(a: AlgebraElement) -> np.ndarray:
         rows, phase = phased_permutation(p)
         out[rows, cols] += c * phase
     return out
+
+
+# ------------------------------------------------------------ symmetry frame
+#
+# A string is also a word w = z | x << n of GF(2)^{2n}; the symplectic form
+# <u, v> = |u.x & v.z| + |u.z & v.x| mod 2 is 0 exactly when the strings commute.
+
+
+def _word(p: PauliString) -> int:
+    return p.z | p.x << p.n
+
+
+def _string(n: int, w: int) -> PauliString:
+    return PauliString(n, w >> n, w & ((1 << n) - 1))
+
+
+def _symp(n: int, u: int, v: int) -> int:
+    swapped = v >> n | (v & ((1 << n) - 1)) << n
+    return (u & swapped).bit_count() & 1
+
+
+def _y_odd(n: int, w: int) -> int:
+    return (w >> n & w).bit_count() & 1
+
+
+def _reduced(words: Iterable[int]) -> dict[int, int]:
+    """Reduced row-echelon basis of the span, keyed by leading bit.
+
+    No basis word holds another's leading bit, so a combination of basis
+    words leads with the largest key among them.
+    """
+    pivots: dict[int, int] = {}
+    for r in words:
+        for b, v in pivots.items():
+            if r >> b & 1:
+                r ^= v
+        if r:
+            lead = r.bit_length() - 1
+            for b, v in pivots.items():
+                if v >> lead & 1:
+                    pivots[b] = v ^ r
+            pivots[lead] = r
+    return pivots
+
+
+def _kernel(rows: Iterable[int], width: int) -> list[int]:
+    """Basis of the t in GF(2)^width with an even |row & t| for every row."""
+    pivots = _reduced(rows)
+    return [
+        (1 << f) | sum(1 << b for b, v in pivots.items() if v >> f & 1) for f in range(width) if f not in pivots
+    ]
+
+
+def _symplectic_pairs(n: int, words: list[int], keep: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Symplectic Gram-Schmidt in list order: ``(pairs, unpaired)``.
+
+    Each word in turn, orthogonalized against the pairs before it, takes the
+    first later word it anticommutes with as its partner; a word with none
+    lies in the radical of the span.  Zero words are skipped.  Within a pair
+    (u, w), w -> w + u, and past the first ``keep`` pairs also u -> u + w,
+    trade an odd-Y word for an even-Y one where that is possible: a basis of
+    even-Y words keeps every string's Y parity, so real matrices stay real.
+    """
+    words = list(words)
+    pairs, unpaired = [], []
+    while words:
+        u = words.pop(0)
+        if not u:
+            continue
+        j = next((j for j, w in enumerate(words) if _symp(n, u, w)), None)
+        if j is None:
+            unpaired.append(u)
+            continue
+        w = words.pop(j)
+        odd_u, odd_w = _y_odd(n, u), _y_odd(n, w)
+        if odd_w and not odd_u:
+            w ^= u
+        elif odd_u and not odd_w and len(pairs) >= keep:
+            u ^= w
+        pairs.append((u, w))
+        # v -> v + <v, w> u + <v, u> w commutes with both u and w
+        words = [v ^ (u if _symp(n, v, w) else 0) ^ (w if _symp(n, v, u) else 0) for v in words]
+    return pairs, unpaired
+
+
+@dataclass(frozen=True)
+class SymmetryFrame:
+    """A Clifford frame that turns commuting Pauli symmetries into single-qubit Z's.
+
+    ``symmetries`` generate a maximal commuting subgroup of the Pauli strings
+    that commute with every string the frame was built from.  ``pairs`` is a
+    symplectic basis (a_j, b_j) of GF(2)^{2n} whose first ``len(symmetries)``
+    a_j span those symmetries; the Clifford U with U A_j U^dag = Z_j and
+    U B_j U^dag = X_j sends a string P to ``sign * P'``, where P' has
+    x'_j = <P, a_j> and z'_j = <P, b_j> (see :meth:`map`).  A string that
+    commutes with every symmetry therefore has no x-bit on the stabilized
+    sites 0..r-1, and the dense layer's x-mask cosets find 2^r sectors.
+
+    With no pairs the frame is the identity: the symmetries are Z-type
+    already, and the x-masks see them without a change of frame.
+    """
+
+    n: int
+    symmetries: tuple[PauliString, ...]
+    pairs: tuple[tuple[PauliString, PauliString], ...]
+
+    @property
+    def stabilized(self) -> int:
+        """Mask of the sites whose images carry no x-bit (none in the identity frame)."""
+        return (1 << len(self.symmetries)) - 1 if self.pairs else 0
+
+    def map(self, p: PauliString) -> tuple[int, PauliString]:
+        """``(sign, P')`` with U P U^dag = sign * P', sign = +-1.
+
+        With alpha_j = z'_j and beta_j = x'_j, :func:`pauli_mul` multiplies
+        out prod_j A_j^{alpha_j} B_j^{beta_j} = i^rho P, left to right.  U
+        sends that product to prod_j Z_j^{alpha_j} X_j^{beta_j} = i^{y'} P',
+        since Z X = iY on a site, so sign = i^{y' - rho}.
+
+        Raises StructuralError for a string that anticommutes with a
+        symmetry: it would mix the sectors the frame is built to find.
+        """
+        if p.n != self.n:
+            raise DimensionError(f"string {p} has {p.n} sites, frame has {self.n}")
+        w = _word(p)
+        broken = [s.label for s in self.symmetries if _symp(self.n, w, _word(s))]
+        if broken:
+            raise StructuralError(f"{p.label} anticommutes with the symmetries {', '.join(broken)}")
+        if not self.pairs:
+            return 1, p
+        x = z = rho = 0
+        acc = PauliString(self.n, 0, 0)
+        for j, (a, b) in enumerate(self.pairs):
+            alpha, beta = _symp(self.n, w, _word(b)), _symp(self.n, w, _word(a))
+            for factor, bit in ((a, alpha), (b, beta)):
+                if bit:
+                    r, acc = pauli_mul(acc, factor)
+                    rho += r
+            z |= alpha << j
+            x |= beta << j
+        image = PauliString(self.n, x, z)
+        phase = (image.y_count - rho) % 4
+        if acc != p or phase % 2:
+            raise StructuralError(f"the symplectic basis does not expand {p.label}")
+        return 1 - phase, image
+
+    def map_element(self, e: AlgebraElement) -> AlgebraElement:
+        """U E U^dag term by term, in E's term order."""
+        terms = {}
+        for p, c in e.items():
+            sign, image = self.map(p)
+            terms[image] = sign * c
+        return AlgebraElement(e.n, terms)
+
+
+def symmetry_frame(strings: Iterable[PauliString]) -> SymmetryFrame:
+    """The frame in which the Pauli symmetries of ``strings`` are single-qubit Z's.
+
+    Four steps of GF(2) arithmetic on (x, z) words (Aaronson & Gottesman,
+    PRA 70, 052328, 2004):
+
+    1. the commutant C: every string that commutes with all of ``strings``;
+    2. a maximal commuting subspace L of C that holds C's Z-type part,
+       by a symplectic Gram-Schmidt over C with the Z-type words first;
+    3. a symplectic basis (a_j, b_j) of the whole space whose first a_j
+       span L, by Gram-Schmidt over L's words and then the unit words;
+    4. the map itself, :meth:`SymmetryFrame.map`.
+
+    When C's Z-type part is already maximal, L is that part and the frame
+    is the identity.
+    """
+    strings = list(strings)
+    if not strings:
+        raise StructuralError("a symmetry frame needs at least one string")
+    n = strings[0].n
+    for p in strings:
+        _require_same_n(p, strings[0])
+    # <v, P> = |v & w| for w = P's word with x and z swapped: the commutant is a kernel
+    commutant = _kernel({p.x | p.z << n for p in strings}, 2 * n)
+    # z sits in the low bits, so a combination is Z-type iff all its leading bits are
+    basis = _reduced(commutant)
+    z_type = [v for b, v in sorted(basis.items()) if b < n]
+    rest = [v for b, v in sorted(basis.items()) if b >= n]
+    # Z-type words commute, so each pairs with a later non-Z-type word or none,
+    # and stays Z-type as it is orthogonalized: L = the u's and the radical holds them
+    pairs, radical = _symplectic_pairs(n, z_type + rest, keep=0)
+    commuting = [u for u, _ in pairs] + radical
+    if len(commuting) == len(z_type):
+        return SymmetryFrame(n, tuple(_string(n, v) for v in z_type), ())
+    # the words of L pair only with unit words, and stay in L as they are orthogonalized
+    units = [1 << k for k in range(2 * n)]
+    full_pairs, _ = _symplectic_pairs(n, commuting + units, keep=len(commuting))
+    return SymmetryFrame(
+        n,
+        tuple(_string(n, u) for u, _ in full_pairs[: len(commuting)]),
+        tuple((_string(n, a), _string(n, b)) for a, b in full_pairs),
+    )
 
 
 def y_parity(p: PauliString) -> int:

@@ -44,7 +44,7 @@ from .optimize import (
     normalized_cost,
     optimize_theta,
 )
-from .pauli import AlgebraElement, commutes
+from .pauli import AlgebraElement, SymmetryFrame, commutes, symmetry_frame
 from .svgplot import line_plot
 from .zassenhaus import VARIANTS, Ansatz, build_ansatz, k_dense
 
@@ -248,13 +248,21 @@ class _StageClock:
 
 @dataclass(frozen=True)
 class Problem:
-    """The structure of one configuration: model -> DLA -> split -> ansatz -> v."""
+    """The structure of one configuration: model -> DLA -> split -> ansatz -> v.
+
+    ``frame`` is the symmetry frame of H's, the ansatz's and h's strings;
+    ``frame_h`` and ``frame_ansatz`` are H and the ansatz mapped into it,
+    where the dense layer runs (see :func:`_curve_in_frame`).
+    """
 
     h: AlgebraElement
     dla: DlaBasis
     split: CartanSplit
     ansatz: Ansatz
     v: TargetV
+    frame: SymmetryFrame
+    frame_h: AlgebraElement
+    frame_ansatz: Ansatz
     timings_ms: dict[str, float]
 
 
@@ -282,8 +290,26 @@ def build_problem(config: RunConfig) -> Problem:
             "build_ansatz", build_ansatz, split.k_basis, config.order, variant=config.variant, n=h.n
         )
         v = clock.run("make_target_v", make_target_v, split.h_basis)
-        LAST_PROBLEM[key] = Problem(h, dla, split, ansatz, v, clock.timings_ms)
+        frame = clock.run("symmetry_frame", symmetry_frame, terms + list(ansatz.strings) + list(split.h_basis))
+        LAST_PROBLEM[key] = Problem(
+            h, dla, split, ansatz, v, frame, frame.map_element(h), ansatz.in_frame(frame), clock.timings_ms
+        )
     return LAST_PROBLEM[key]
+
+
+def _curve_in_frame(
+    prob: Problem, theta: np.ndarray, h0: AlgebraElement, t_grid, clock: _StageClock
+) -> ErrorCurve:
+    """||e^{-iHt} - K^dag e^{-i h0 t} K||_2 over ``t_grid``, run in the problem's frame.
+
+    The frame's Clifford U conjugates all three operators, and the spectral
+    norm does not see U; in the frame the dense layer's x-mask cosets are
+    the 2^r symmetry sectors.  The curve and ``verify`` both come here, so
+    the two compute equal floats.
+    """
+    h0 = prob.frame.map_element(h0)
+    k_c = clock.run("k_dense", k_dense, prob.frame_ansatz, theta)
+    return clock.run("error_curve", error_curve, prob.frame_h, k_c, h0, t_grid)
 
 
 def run_decompose(config: RunConfig) -> RunRecord:
@@ -362,11 +388,10 @@ def run_error_curve(config: RunConfig, record: RunRecord | None = None) -> RunRe
     prob = build_problem(config)
     clock = _StageClock(record.timings_ms)
     theta = np.asarray(record.theta_star, dtype=float)
-    k_c = clock.run("k_dense", k_dense, prob.ansatz, theta)
     h0 = AlgebraElement.from_records(record.h0, n=config.model.n)
     # one pass over the grid with table_t appended, sliced back apart
     t_grid = np.append(np.linspace(0.0, config.t_max, config.t_points), config.table_t)
-    both = clock.run("error_curve", error_curve, prob.h, k_c, h0, t_grid)
+    both = _curve_in_frame(prob, theta, h0, t_grid, clock)
     curve = ErrorCurve(both.ts[:-1], both.errors[:-1])
     record.curve_ts = [float(t) for t in curve.ts]
     record.curve_errors = [float(e) for e in curve.errors]
@@ -643,9 +668,8 @@ def verify(record_path: str | Path) -> RunRecord:
     if not h0.allclose(stored_h0, tol=VERIFY_TOL):
         raise NumericalError("h0 coefficients do not reproduce from theta*")
     if record.curve_ts is not None:
-        k_c = k_dense(prob.ansatz, theta)
         t_grid = np.append(record.curve_ts, config.table_t)
-        fresh = error_curve(prob.h, k_c, stored_h0, t_grid).errors
+        fresh = _curve_in_frame(prob, theta, stored_h0, t_grid, _StageClock()).errors
         diff = np.max(np.abs(fresh[:-1] - np.asarray(record.curve_errors)))
         if diff > VERIFY_TOL:
             raise NumericalError(f"error curve drifts by {diff:.3e} > {VERIFY_TOL}")

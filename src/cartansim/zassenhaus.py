@@ -37,7 +37,7 @@ optimizer absorbs any residual constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import pauli
 from .errors import ConfigError, DimensionError, ResourceLimitError, StructuralError
-from .pauli import PauliString, apply_rotation, bracket_strings, commutes, string_rotation
+from .pauli import PauliString, SymmetryFrame, apply_rotation, bracket_strings, commutes, string_rotation
 
 #: Nested-commutator coefficients of the scalar Zassenhaus expansion
 #: e^{A+B} = e^A e^B e^{W2} e^{W3} e^{W4} ...  Shapes are left-nested
@@ -132,6 +132,21 @@ class Ansatz:
         for f in self.factors:
             counts[f.kind] += 1
         return counts
+
+    def in_frame(self, frame: SymmetryFrame) -> "Ansatz":
+        """The ansatz of U K U^dag: each factor's string mapped, its weight times the sign.
+
+        U exp(i phi P) U^dag = exp(i phi sign P'), so the angles, and with them
+        theta -> phi, stay as they are.  The identity frame returns this ansatz.
+        """
+        if not frame.pairs:
+            return self
+        images = {p: frame.map(p) for p in self.k_basis + self.strings}
+        factors = []
+        for f in self.factors:
+            sign, image = images[f.string]
+            factors.append(replace(f, string=image, weight=sign * f.weight))
+        return replace(self, k_basis=tuple(images[p][1] for p in self.k_basis), factors=tuple(factors))
 
     @cached_property
     def strings(self) -> tuple[PauliString, ...]:

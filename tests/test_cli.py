@@ -201,6 +201,18 @@ def test_benchmark_cell_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
     assert "failed" in captured.out or "failed" in captured.err
 
 
+def test_benchmark_undecomposed_cell_exits_four(tmp_path, capsys):
+    # tfim order 3 does not decompose from either default start
+    code = run_cli("benchmark", "--model", "tfim", "--qubits", "4", "--order", "3", "--output", str(tmp_path))
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "did not decompose: tfim n=4 order 3" in captured.err
+    assert "false" in captured.out  # the table was printed first
+    rows = json.loads((tmp_path / "benchmark.json").read_text())["rows"]
+    assert [(r["model"], r["order"], r["decomposed"]) for r in rows] == [("tfim", 3, False)]
+    assert (tmp_path / "benchmark.csv").exists()
+
+
 def test_stage_name_reported_on_failure(tmp_path, capsys, monkeypatch):
     from cartansim import CapacityError
 
