@@ -14,16 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import CartanSimError, ConfigError, OptimizerError
-from .models import MODEL_NAMES, ModelSpec, default_benchmark_specs
-from .optimize import OptimizerOptions
+from .models import MODEL_NAMES, ModelSpec
 from .pipeline import (
-    BENCHMARK_MULTI_START,
     FORMATS,
     RunConfig,
+    benchmark_configs,
     model_pair,
     run_benchmark,
     run_cost_trace,
@@ -56,7 +54,7 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, dest="max_iters", help="iteration cap")
     p.add_argument(
         "--multi-start", type=int, dest="multi_start",
-        help="number of seeded starts; the lowest final cost wins",
+        help="number of seeded starts; the first that decomposes wins, else the lowest (residual, cost)",
     )
 
 
@@ -100,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_optimizer_flags(p)
     _add_eval_flags(p)
     _add_output_flags(p)
-    p.add_argument("--workers", type=int, help="parallel cells (default: all cores)")
     _add_config_flag(p)
     p.set_defaults(fn=_cmd_benchmark)
 
@@ -175,8 +172,6 @@ def _config_doc(args: argparse.Namespace) -> dict:
         doc["output_dir"] = args.output
     if getattr(args, "format", None):
         doc["formats"] = list(dict.fromkeys(args.format))
-    if getattr(args, "workers", None) is not None:
-        doc["workers"] = args.workers
     return doc
 
 
@@ -235,22 +230,16 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     doc = _config_doc(args)
     base = _build_config(doc)
     model_doc = doc.get("model") or {}
-    if model_doc.get("name"):
-        specs: tuple[ModelSpec, ...] = (base.model,)
-    elif model_doc:
+    if model_doc and not model_doc.get("name"):
         raise ConfigError("benchmark needs --model when --qubits is given")
-    else:
-        specs = default_benchmark_specs()
+    specs = (base.model,) if model_doc else None
     orders = (base.order,) if "order" in doc else (1, 2, 3, 4)
-    if "optimizer" in doc:
-        optimizer = base.optimizer
-    else:
-        optimizer = OptimizerOptions(multi_start=BENCHMARK_MULTI_START)
+    optimizer = base.optimizer if "optimizer" in doc else None
     # every other field of the merged config reaches each cell unchanged
-    configs = [
-        replace(base, model=spec, order=order, optimizer=optimizer) for spec in specs for order in orders
-    ]
-    table = run_benchmark(configs)
+    rest = {
+        f: getattr(base, f) for f in RunConfig.__dataclass_fields__ if f not in ("model", "order", "optimizer")
+    }
+    table = run_benchmark(benchmark_configs(specs, orders, optimizer, **rest))
     rows = table["rows"]
     print(f"{'model':>12} {'order':>5} {'n':>2} {'error_at_t':>12} {'conv':>5} {'dec':>5} "
           f"{'residual':>12} {'dla':>4} {'iters':>5} {'trend':>11}")

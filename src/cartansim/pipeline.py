@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -57,9 +55,9 @@ VERIFY_TOL = 1e-12
 class RunConfig:
     """Everything a decompose/evaluate run depends on, plus output routing.
 
-    The content hash covers only result-determining fields; output_dir,
-    formats, and workers route artifacts without changing what is computed,
-    so two runs that differ only there share a hash (and a record).
+    The content hash covers only result-determining fields; output_dir and
+    formats route artifacts without changing what is computed, so two runs
+    that differ only there share a hash (and a record).
     """
 
     model: ModelSpec
@@ -71,7 +69,6 @@ class RunConfig:
     table_t: float = 20.0
     output_dir: str = "runs"
     formats: tuple[str, ...] = ("csv", "json")
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.order not in (1, 2, 3, 4):
@@ -87,8 +84,6 @@ class RunConfig:
         bad = [f for f in self.formats if f not in FORMATS]
         if bad:
             raise ConfigError(f"unknown output formats {bad}; choose from {FORMATS}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError("workers must be at least 1 when given")
         object.__setattr__(self, "formats", tuple(self.formats))
 
     def to_dict(self) -> dict:
@@ -102,7 +97,6 @@ class RunConfig:
             "table_t": self.table_t,
             "output_dir": self.output_dir,
             "formats": list(self.formats),
-            "workers": self.workers,
         }
 
     @classmethod
@@ -127,7 +121,7 @@ class RunConfig:
 
     def config_hash(self) -> str:
         payload = self.to_dict()
-        for routing_only in ("output_dir", "formats", "workers"):
+        for routing_only in ("output_dir", "formats"):
             payload.pop(routing_only)
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
@@ -210,8 +204,6 @@ class RunRecord:
         kwargs = dict(d)
         kwargs["config"] = RunConfig.from_dict(kwargs["config"])
         kwargs["cost_trace"] = CostTrace(kwargs["cost_trace"])
-        # records written before the flag carry it implicitly in residual_rel
-        kwargs.setdefault("decomposed", kwargs["residual_rel"] <= DECOMPOSED_TOL)
         return cls(**kwargs)
 
     def save(self, path: str | Path) -> None:
@@ -484,23 +476,24 @@ def trend_mark(order: int, error: float | None, baseline: float | None) -> str:
     return "improved" if error <= baseline / 2 else "regressed"
 
 
-def run_benchmark(configs: Sequence[RunConfig] | None = None, **overrides) -> dict:
-    """Run the model x order table; per-cell failures land in the cell.
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
 
-    Returns {"rows": [...], "columns": ...}; each row additionally carries
-    a :func:`trend_mark` against its model's order-1 row.
+
+def run_benchmark(configs: Sequence[RunConfig]) -> dict:
+    """Run the model x order table, one cell after another in this process.
+
+    Per-cell failures land in the cell.  Returns {"rows": [...],
+    "columns": ...}; each row additionally carries a :func:`trend_mark`
+    against its model's order-1 row.
     """
-    if configs is None:
-        configs = benchmark_configs(**overrides)
     if not configs:
         raise ConfigError("benchmark needs at least one configuration")
-    # a single cell runs in this process; a pool never outnumbers the cells
-    workers = min(configs[0].workers or os.cpu_count() or 1, len(configs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_benchmark_cell, configs))
-    else:
-        rows = [_benchmark_cell(c) for c in configs]
+    rows = [_benchmark_cell(c) for c in configs]
 
     base = {r["model"]: r["error_at_t"] for r in rows if r["order"] == 1}
     for row in rows:
@@ -512,20 +505,7 @@ def run_benchmark(configs: Sequence[RunConfig] | None = None, **overrides) -> di
     formats = configs[0].formats
     if "csv" in formats:
         lines = [BENCHMARK_COLUMNS]
-        for r in rows:
-            cells = [
-                r["model"],
-                str(r["order"]),
-                str(r["n"]),
-                "" if r["error_at_t"] is None else repr(r["error_at_t"]),
-                str(r["converged"]).lower(),
-                str(r["decomposed"]).lower(),
-                "" if r["residual"] is None else repr(r["residual"]),
-                "" if r["dla_dim"] is None else str(r["dla_dim"]),
-                "" if r["iters"] is None else str(r["iters"]),
-                repr(r["wall_ms"]),
-            ]
-            lines.append(",".join(cells))
+        lines += [",".join(_csv_cell(r[c]) for c in table["columns"]) for r in rows]
         (out_dir / "benchmark.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     if "json" in formats:
         (out_dir / "benchmark.json").write_text(json.dumps(table, indent=2) + "\n", encoding="utf-8")

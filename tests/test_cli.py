@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from cartansim import NumericalError, pipeline
-from cartansim.cli import main
+from cartansim.cli import build_parser, main
 from cartansim.pipeline import RunRecord
 
 
@@ -126,7 +128,7 @@ def test_benchmark_cells_take_every_config_file_field(tmp_path, capsys):
     doc = {"t_points": 3, "variant": "paper", "output_dir": str(tmp_path)}
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(doc))
-    argv = ("benchmark", "--config", str(cfg_path), "--model", "xy", "--order", "1", "--workers", "1")
+    argv = ("benchmark", "--config", str(cfg_path), "--model", "xy", "--order", "1")
     assert run_cli(*argv) == 0
     capsys.readouterr()
     (path,) = tmp_path.glob("*/record.json")
@@ -162,6 +164,16 @@ def test_removed_optimizer_settings_exit_two(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"model": {"name": "xy", "n": 3}, "optimizer": {"line_search": "wolfe"}}))
     assert run_cli("decompose", "--config", str(cfg_path), "--output", str(tmp_path)) == 2
     assert "line_search" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/record.json"))
+
+
+def test_removed_workers_setting_exits_two(tmp_path, capsys):
+    # benchmark cells run one after another in this process
+    assert run_cli("benchmark", *XY, "--order", "1", "--workers", "1", "--output", str(tmp_path)) == 2
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"model": {"name": "xy", "n": 3}, "order": 1, "workers": 1}))
+    assert run_cli("benchmark", "--config", str(cfg_path), "--output", str(tmp_path)) == 2
+    assert "workers" in capsys.readouterr().err
     assert not list(tmp_path.glob("*/record.json"))
 
 
@@ -227,3 +239,13 @@ def test_stage_name_reported_on_failure(tmp_path, capsys, monkeypatch):
     for argv in (("decompose", *XY, "--output", str(tmp_path)), ("verify", path)):
         assert run_cli(*argv) == 3
         assert "[generate_dla]" in capsys.readouterr().err
+
+
+# -------------------------------------------------------------------- docs
+
+def test_every_readme_flag_is_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    (subcommands,) = (a for a in build_parser()._actions if a.choices and a.dest == "command")
+    accepted = {flag for p in subcommands.choices.values() for flag in p._option_string_actions}
+    assert mentioned and mentioned <= accepted, sorted(mentioned - accepted)

@@ -65,8 +65,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(model=ModelSpec("xy", 3), formats=("csv", "pdf"))
     with pytest.raises(ConfigError):
-        RunConfig(model=ModelSpec("xy", 3), workers=0)
-    with pytest.raises(ConfigError):
         RunConfig(model=ModelSpec("xy", 3), variant="nonstandard")
 
 
@@ -98,7 +96,7 @@ def test_config_rejects_unknown_keys():
 
 def test_hash_ignores_output_routing():
     base = RunConfig(model=ModelSpec("xy", 3))
-    moved = replace(base, output_dir="elsewhere", formats=("svg",), workers=4)
+    moved = replace(base, output_dir="elsewhere", formats=("svg",))
     assert moved.config_hash() == base.config_hash()
 
 
@@ -150,13 +148,18 @@ def test_decompose_record_contents(xy_record):
 def test_records_without_counters_still_load(xy_record, tmp_path):
     config, record = xy_record
     doc = json.loads((config.run_dir() / "record.json").read_text())
-    for key in ("optimizer_counters", "decomposed", "starts"):
+    for key in ("optimizer_counters", "starts"):
         del doc[key]
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))
     old = RunRecord.load(path)
     assert (old.optimizer_counters, old.starts, old.decomposed) == ({}, [], True)
     assert verify(path).optimizer_counters == {}
+    # every record states its decomposed flag; none is inferred on load
+    del doc["decomposed"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="decomposed"):
+        verify(path)
 
 
 def test_abelian_model_runs_on_its_own_qubit_count(tmp_path):
@@ -491,17 +494,6 @@ def test_benchmark_default_grid_shape():
     assert all(c.optimizer.multi_start >= 2 for c in configs)
     names = {c.model.name for c in configs}
     assert names == {"tfim", "xy", "tfxy", "heisenberg", "kitaev_even", "kitaev_odd"}
-
-
-def test_one_cell_benchmark_runs_without_a_pool(tmp_path, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-cell benchmark started a process pool")
-
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
-    configs = benchmark_configs(specs=(ModelSpec("xy", 3),), orders=(1,), output_dir=str(tmp_path), t_points=5)
-    assert configs[0].workers is None
-    (row,) = run_benchmark(configs)["rows"]
-    assert row["error"] is None and row["decomposed"]
 
 
 def test_benchmark_rejects_empty():

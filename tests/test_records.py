@@ -6,9 +6,11 @@ each to 1e-12 of the stored value, so this guards that contract across any
 change to the dense layer.  Re-decomposing holds the optimizer to its
 recorded trajectory bit for bit, so a change to the sweeps or the minimizer
 that moves any float shows here.  The committed benchmark table must come
-from the same run as the records beside it, and every record lives at its
-configuration's ``run_dir()``.  Tests are named <group>/<model>-n<n>-o<order>,
-so a regenerated record keeps its tests' names.
+from the same run as the records beside it, and from the table writer.
+Every record lives at its configuration's ``run_dir()``, byte for byte in
+the one format ``RunRecord.save`` writes.  Tests are named
+<group>/<model>-n<n>-o<order>, so a regenerated record keeps its tests'
+names.
 """
 
 import json
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from cartansim import RunRecord, run_decompose, verify
+from cartansim import RunRecord, pipeline, run_benchmark, run_decompose, verify
 from cartansim.pipeline import trend_mark
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +44,12 @@ def test_committed_records_live_at_their_run_dir():
         record = RunRecord.load(path)
         assert path.parent.name == record.config_hash[:12]
         assert path.parent == ROOT / record.config.run_dir()
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=record_id)
+def test_committed_record_round_trips(path):
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(RunRecord.load(path).to_dict(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=record_id)
@@ -82,3 +90,14 @@ def test_benchmark_table_matches_its_records():
         assert row["converged"] == record.converged
         assert row["decomposed"] == record.decomposed
         assert row["trend"] == trend_mark(row["order"], row["error_at_t"], base[row["model"]])
+
+
+def test_benchmark_writer_reproduces_the_committed_table(tmp_path, monkeypatch):
+    committed = RUNS / "benchmark"
+    rows = json.loads((committed / "benchmark.json").read_text(encoding="utf-8"))["rows"]
+    cells = iter([{k: v for k, v in row.items() if k != "trend"} for row in rows])
+    monkeypatch.setattr(pipeline, "_benchmark_cell", lambda config: next(cells))
+    configs = [RunRecord.load(p).config for p in committed.glob("*/record.json")]
+    run_benchmark([replace(c, output_dir=str(tmp_path)) for c in configs])
+    for name in ("benchmark.csv", "benchmark.json"):
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes()
