@@ -24,9 +24,15 @@ back to d f / d theta.
 * a caller that has just run the forward sweep at theta (``conjugate``)
   passes its result as ``forward=`` and ``cost_and_grad`` runs only the
   backward sweep;
-* the backward sweep of one point carries E and B as the two rows of one
-  (2, dim) array, so each step is one gather, one rotation and one
-  scatter for both, through flat indices precomputed per edge block;
+* one point's sweeps run in chunks: runs of steps whose strings have the
+  same edge count k, cut to about _LANE_BYTES.  Per chunk and sweep a
+  table holds sgn * sin(2 phi_t) and cos(2 phi_t) as the two (k,) rows of
+  each step, so a step is four array operations: gather, multiply by its
+  table rows, add (forward) or subtract (backward), scatter.  The forward
+  step gathers [v[qa], v[qb]]; the backward step carries E and B in one
+  flat (2 dim,) state and gathers [[E, B][qa], [E, B][qb]] into the
+  chunk's buffer, whose rows give all of the chunk's dots at once after
+  it.  The engine itself holds only per-string index arrays and signs;
 * a batch of L points, theta of shape (L, m), runs both sweeps over lanes:
   the state is (dim, 2L), basis index first, and a step gathers whole rows
   of lanes with ``take``, which returns a C-contiguous (k, 2L) block
@@ -37,12 +43,13 @@ back to d f / d theta.
   gathers and scatters and for the copies its dot needs, about twice the
   time per step, and one-point sweeps are what every BFGS step runs;
 * every dot product is BLAS ddot over two contiguous vectors, as a point
-  run alone gets it: the lanes copy their transposed rows out first, and
-  numpy's stacked matmul of (1, k) by (k, 1) calls ddot per lane.  On
-  strided rows ddot adds in another order and changes the last bit of
-  most gradient entries.  Edge signs are exactly +-1 and 2^n a power of
-  two, so where those multiplies happen is exact; no other product is
-  regrouped.
+  run alone gets it: numpy's stacked matmul of (1, k) by (k, 1) calls
+  ddot per row, on a chunk's buffer rows or on the lanes' transposed rows,
+  which they copy out first.  On strided rows ddot adds in another order
+  and changes the last bit of most gradient entries (so does ``einsum``).
+  Edge signs are exactly +-1 and 2^n a power of two, so where those
+  multiplies happen is exact, and c * v[qb] + s * sgn * v[qa] is one
+  rounded add whichever term comes first; no other product is regrouped.
 
 The tests hold all of this to a term-by-term dictionary conjugation and to
 dense matrices.
@@ -58,22 +65,25 @@ from .errors import DimensionError, StructuralError
 from .pauli import AlgebraElement, PauliString, bracket_strings
 from .zassenhaus import Ansatz
 
-#: Lane batches run in chunks of about this many bytes of per-lane arrays
-#: (step tables and states), so a Hessian's lanes stay small next to the heap.
+#: Lane batches and one point's steps run in chunks of about this many bytes
+#: of per-lane or per-step arrays (step tables, states, gather buffers), so
+#: a sweep's working arrays stay small next to the heap.
 _LANE_BYTES = 1 << 16
 
 
 class _Edges(NamedTuple):
     """The rotation pairs of one generator string P: bb(P, Q_qa) = 2 sgn Q_qb.
 
-    The index sets are views of iab = [qa, qa + dim, qb, qb + dim], the flat
-    indices that the one-point backward sweep gathers from its (2, dim)
-    state of E and B rows; ib = [qb, qb + dim] is where it scatters back.
+    ab = [qa, qb] is what a forward step gathers, and qa, qb are its rows.
+    iab = [[qa, qa + dim], [qb, qb + dim]] is what a backward step gathers
+    from its flat state of E then B; ib = iab[1] is where it scatters back.
+    sgn is a row of the engine's sign table.
     """
 
     qa: np.ndarray
     qb: np.ndarray
     sgn: np.ndarray
+    ab: np.ndarray
     iab: np.ndarray
     ib: np.ndarray
 
@@ -90,10 +100,20 @@ class CompiledAdjoint:
             raise StructuralError("duplicate strings in adjoint basis")
 
         # one edge block per distinct factor string; sub_edge is its id per factor
-        self._edges = [self._compile_edges(p) for p in ansatz.strings]
+        pairs = [self._compile_edges(p) for p in ansatz.strings]
+        self._k = np.array([len(qa) for qa, _, _ in pairs], dtype=np.intp)
+        # row j holds string j's edge signs, zero-padded to the largest edge count
+        self._sgn = np.zeros((len(pairs), int(self._k.max(initial=0))))
+        self._edges = []
+        for j, (qa, qb, sgn) in enumerate(pairs):
+            k = len(qa)
+            self._sgn[j, :k] = sgn
+            ab = np.array([qa, qb], dtype=np.intp).reshape(2, k)
+            iab = np.stack([ab, ab + len(self.basis)], axis=1)
+            self._edges.append(_Edges(ab[0], ab[1], self._sgn[j, :k], ab, iab, iab[1]))
         self.sub_edge = ansatz.string_ids
 
-    def _compile_edges(self, p: PauliString) -> _Edges:
+    def _compile_edges(self, p: PauliString) -> tuple[list[int], list[int], list[float]]:
         qa, qb, sgn = [], [], []
         for i, q in enumerate(self.basis):
             hit = bracket_strings(p, q)
@@ -108,9 +128,7 @@ class CompiledAdjoint:
             qa.append(i)
             qb.append(j)
             sgn.append(c / 2.0)
-        k, dim = len(qa), len(self.basis)
-        iab = np.asarray(qa + [i + dim for i in qa] + qb + [j + dim for j in qb], dtype=np.intp)
-        return _Edges(iab[:k], iab[2 * k : 3 * k], np.asarray(sgn, dtype=float), iab, iab[2 * k :])
+        return qa, qb, sgn
 
     # -- vector <-> element -----------------------------------------------
 
@@ -138,20 +156,44 @@ class CompiledAdjoint:
         if side not in ("kdag_e_k", "k_e_kdag"):
             raise StructuralError(f"unknown side {side!r}")
         c2, s2 = self._steps(theta, 1.0 if side == "kdag_e_k" else -1.0)
-        return self._forward(v, c2, s2, reverse=side == "k_e_kdag")
+        return self._forward(v, c2, s2, self._chunks(), reverse=side == "k_e_kdag")
 
-    def _forward(self, v: np.ndarray, c2: np.ndarray, s2: np.ndarray, reverse: bool = False) -> np.ndarray:
+    def _chunks(self) -> list[tuple[int, int, int]]:
+        """(start, stop, k) of the steps: runs with one edge count k, cut so
+        that a chunk's tables and buffers take about _LANE_BYTES."""
+        ks = self._k[self.sub_edge]
+        if not len(ks):
+            return []
+        cuts = (np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist()
+        chunks = []
+        for start, stop in zip([0] + cuts, cuts + [len(ks)]):
+            k = int(ks[start])
+            size = max(1, _LANE_BYTES // (56 * max(k, 1)))  # 7k floats a step
+            chunks += [(t, min(t + size, stop), k) for t in range(start, stop, size)]
+        return chunks
+
+    def _table(self, start: int, stop: int, k: int, c2: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A chunk's edge signs (step, k) and coefficients (step, 2, k): row 0
+        sgn * s2, row 1 c2.  sgn is +-1, so sgn * s2 * v is (sgn * v) * s2."""
+        sgn = self._sgn[self.sub_edge[start:stop], :k]
+        tab = np.empty((stop - start, 2, k))
+        np.multiply(sgn, s2[start:stop, None], out=tab[:, 0])
+        tab[:, 1] = c2[start:stop, None]
+        return sgn, tab
+
+    def _forward(
+        self, v: np.ndarray, c2: np.ndarray, s2: np.ndarray, chunks: list, reverse: bool = False
+    ) -> np.ndarray:
         out = np.array(v, dtype=float, copy=True)
-        order = slice(None, None, -1) if reverse else slice(None)
-        for j, c, s in zip(self.sub_edge[order].tolist(), c2[order], s2[order]):
-            # v[qb] <- c v[qb] + s (sgn v[qa])
-            qa, qb, sgn, _, _ = self._edges[j]
-            va, vb = out[qa], out[qb]
-            va *= sgn
-            va *= s
-            vb *= c
-            vb += va
-            out[qb] = vb
+        edges, sub = self._edges, self.sub_edge.tolist()
+        for start, stop, k in reversed(chunks) if reverse else chunks:
+            ids, tab = sub[start:stop], self._table(start, stop, k, c2, s2)[1]
+            for j, coef in zip(ids[::-1], tab[::-1]) if reverse else zip(ids, tab):
+                # v[qb] <- s (sgn v[qa]) + c v[qb]
+                e = edges[j]
+                x = out[e.ab]
+                x *= coef
+                out[e.qb] = x[0] + x[1]
         return out
 
     def trace(self, e: np.ndarray, h: np.ndarray) -> float:
@@ -188,25 +230,31 @@ class CompiledAdjoint:
             return f, grad
 
         c2, s2 = self._steps(theta)
-        e = self._forward(v, c2, s2) if forward is None else np.asarray(forward, dtype=float)
-        return self.trace(e, h), self.ansatz.angle_grad(theta, self._backward(e, h, c2, s2))
+        chunks = self._chunks()
+        e = self._forward(v, c2, s2, chunks) if forward is None else np.asarray(forward, dtype=float)
+        return self.trace(e, h), self.ansatz.angle_grad(theta, self._backward(e, h, c2, s2, chunks))
 
-    def _backward(self, e: np.ndarray, h: np.ndarray, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    def _backward(self, e: np.ndarray, h: np.ndarray, c2: np.ndarray, s2: np.ndarray, chunks: list) -> np.ndarray:
         """d f / d phi_t at one point, undoing every step on E and B together."""
         st = np.concatenate([e, h])  # rows E and B of a (2, dim) array
         gphi = np.empty(len(self.sub_edge))
-        steps = zip(range(len(gphi) - 1, -1, -1), self.sub_edge[::-1].tolist(), c2[::-1], s2[::-1])
-        for t, j, c, s in steps:
-            _, _, sgn, iab, ib = self._edges[j]
-            x = st[iab].reshape(4, -1)  # rows sgn E[qa], sgn B[qa], E[qb], B[qb]
-            xa, xb = x[:2], x[2:]
-            xa *= sgn
-            gphi[t] = np.dot(x[0], x[3])
-            xb *= c
-            xa *= s
-            xb -= xa
-            st[ib] = xb.reshape(-1)
-        # d f / d phi_t = 2^n * 2 * sum sgn * E_t[qa] * B_t[qb]
+        edges, sub = self._edges, self.sub_edge.tolist()
+        for start, stop, k in reversed(chunks):
+            sgn, tab = self._table(start, stop, k, c2, s2)
+            # a step's gathered [[E[qa], B[qa]], [E[qb], B[qb]]], kept for the dots
+            got = np.empty((stop - start, 2, 2, k))
+            x = np.empty((2, 2, k))
+            xa, xb = x
+            for j, coef, g in zip(sub[start:stop][::-1], tab[::-1, :, None], got[::-1]):
+                # E, B [qb] <- c (E, B)[qb] - s (sgn (E, B)[qa])
+                iab = edges[j].iab
+                st.take(iab, out=g, mode="wrap")  # wrap, unlike raise, does not buffer out
+                np.multiply(g, coef, x)
+                np.subtract(xb, xa, xb)
+                st[edges[j].ib] = xb
+            # d f / d phi_t = 2^n * 2 * sum sgn * E_t[qa] * B_t[qb], one ddot a step
+            ea = got[:, 0, 0] * sgn
+            gphi[start:stop] = np.matmul(ea[:, None], got[:, 1, 1, :, None])[:, 0, 0]
         gphi *= 2.0 * float(2**self.n)
         return gphi
 

@@ -187,11 +187,9 @@ class RunRecord:
     timings_ms: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
     version: str = RECORD_VERSION
-    # optimize.COUNTERS summed over the starts that ran; records written
-    # before it load as {}
-    optimizer_counters: dict = field(default_factory=dict)
-    # records written before the per-start summaries load as []
-    starts: list = field(default_factory=list)
+    # optimize.COUNTERS summed over the starts that ran
+    optimizer_counters: dict = field(kw_only=True)
+    starts: list = field(kw_only=True)
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}

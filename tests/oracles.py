@@ -5,7 +5,7 @@ primitives only, so a bug in the package's symplectic bookkeeping cannot
 propagate into the expected values.  The adjoint references at the end
 keep the term-by-term dictionary conjugation (``adjoint_K`` and the cost
 on it) that the compiled engine must agree with, and the plain one-vector
-sweep loops that its lane sweeps must reproduce bit for bit.  The
+sweep loops that its sweeps must reproduce bit for bit.  The
 central-difference gradient is the reference the analytic one is held to.
 ``fixed_depth_evolution`` assembles K^dag e^{-i h0 t} K from the string
 rotations ``error_curve`` applies, so their tests check that core directly.
@@ -295,6 +295,28 @@ def reference_cost_and_grad(engine: CompiledAdjoint, theta, v, h):
             dphi = np.where(p > 0, p * np.power(tx[:, s], np.maximum(p - 1, 0.0)) * others, 0.0)
         np.add.at(grad, idx[:, s], gfac * dphi)
     return f, grad
+
+
+def reference_conjugate(engine: CompiledAdjoint, theta, v, side="kdag_e_k"):
+    """``engine.conjugate`` as one-vector steps of separate in-place
+    operations, v[qb] <- c v[qb] + (sgn v[qa]) s; the k_e_kdag side runs
+    the steps in reverse with s = -sin."""
+    scale, weight, idx, pw = _padded_monomials(engine.ansatz)
+    phi = scale * np.prod(np.power(np.asarray(theta, dtype=float)[idx], pw), axis=1) * weight
+    c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
+    steps = range(len(phi))
+    if side == "k_e_kdag":
+        steps, s2 = steps[::-1], -1.0 * s2
+    out = np.array(v, dtype=float, copy=True)
+    for t in steps:
+        qa, qb, sgn = engine._edges[engine.sub_edge[t]][:3]
+        va, vb = out[qa], out[qb]
+        va *= sgn
+        va *= s2[t]
+        vb *= c2[t]
+        vb += va
+        out[qb] = vb
+    return out
 
 
 def closure_basis(ansatz, *elements):

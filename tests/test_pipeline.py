@@ -145,21 +145,17 @@ def test_decompose_record_contents(xy_record):
     assert (start["seed"], start["iterations"]) == (config.optimizer.seed, record.iterations)
 
 
-def test_records_without_counters_still_load(xy_record, tmp_path):
+def test_records_without_counters_or_starts_do_not_load(xy_record, tmp_path):
+    # every record states its counters, starts and decomposed flag; none is
+    # filled in on load
     config, record = xy_record
-    doc = json.loads((config.run_dir() / "record.json").read_text())
-    for key in ("optimizer_counters", "starts"):
+    for key in ("optimizer_counters", "starts", "decomposed"):
+        doc = json.loads((config.run_dir() / "record.json").read_text())
         del doc[key]
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(doc))
-    old = RunRecord.load(path)
-    assert (old.optimizer_counters, old.starts, old.decomposed) == ({}, [], True)
-    assert verify(path).optimizer_counters == {}
-    # every record states its decomposed flag; none is inferred on load
-    del doc["decomposed"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="decomposed"):
-        verify(path)
+        path = tmp_path / f"no_{key}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=key):
+            verify(path)
 
 
 def test_abelian_model_runs_on_its_own_qubit_count(tmp_path):

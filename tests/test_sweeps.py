@@ -1,7 +1,12 @@
-"""The engine's lane sweeps and reused forward sweeps give the very floats of
-the one-vector reference kernel: every comparison here is exact equality."""
+"""The engine's chunked one-point sweeps, lane sweeps and reused forward
+sweeps give the very floats of the one-vector reference kernels: every
+comparison here is exact equality.  The sweeps' memory and the benchmark
+tracer's hooks on the engine are checked here too."""
 
+import importlib.util
+import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +21,11 @@ from cartansim import (
 )
 from cartansim import adjoint
 from cartansim.optimize import _fd_hessian, make_cost_functions
+from cartansim.pauli import parse_label
 from cartansim.pipeline import build_problem
+from cartansim.zassenhaus import build_ansatz
 
-from oracles import fd_grad_fn, reference_cost_and_grad
+from oracles import fd_grad_fn, reference_conjugate, reference_cost_and_grad
 
 GRID = [(spec, order) for spec in default_benchmark_specs() for order in (1, 2, 3, 4)]
 
@@ -56,7 +63,7 @@ TFIM = ModelSpec("tfim", 4)
 HEIS = ModelSpec("heisenberg", 4)
 
 
-@pytest.mark.parametrize("spec, order", [(TFIM, 2), (ModelSpec("tfxy", 4), 3), (HEIS, 1)])
+@pytest.mark.parametrize("spec, order", [(TFIM, 2), (ModelSpec("tfxy", 4), 3), (HEIS, 1), (HEIS, 4)])
 def test_gradient_after_cost_reuses_forward_exactly(spec, order):
     cost_fn, grad_fn, engine = closures(spec, order)
     v_vec = engine.vector(setup(spec, order)[4].element)
@@ -68,6 +75,92 @@ def test_gradient_after_cost_reuses_forward_exactly(spec, order):
         f_ref, g_ref = reference_cost_and_grad(engine, theta, v_vec, h_vec)
         assert f == f_fresh == f_ref
         assert np.array_equal(g, g_fresh) and np.array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("spec, order", [(TFIM, 2), (HEIS, 4)])
+def test_conjugate_equals_reference_steps(spec, order):
+    h, dla, _, ansatz, _ = setup(spec, order)
+    engine = CompiledAdjoint(ansatz, dla.strings)
+    h_vec = engine.vector(h)
+    for theta in points(spec, order, 2, seed=4):
+        for side in ("kdag_e_k", "k_e_kdag"):
+            assert np.array_equal(engine.conjugate(theta, h_vec, side), reference_conjugate(engine, theta, h_vec, side))
+
+
+def mixed_engine(order):
+    """An engine whose steps have 2 and 8 edges: su(2) on qubit 0 plus su(4)
+    on qubits 1-2, rotated by one k-string of the first and four of the second."""
+    pauli = "IXYZ"
+    basis = [parse_label(a + "II") for a in "XYZ"]
+    basis += [parse_label("I" + a + b) for a in pauli for b in pauli if a + b != "II"]
+    ansatz = build_ansatz([parse_label(s) for s in ("YII", "IYI", "IXY", "IYZ", "IZY")], order)
+    return CompiledAdjoint(ansatz, basis)
+
+
+@pytest.mark.parametrize("lane_bytes", [1, 1 << 16])
+@pytest.mark.parametrize("order", [1, 2])
+def test_mixed_edge_counts_equal_the_references(monkeypatch, order, lane_bytes):
+    monkeypatch.setattr(adjoint, "_LANE_BYTES", lane_bytes)
+    engine = mixed_engine(order)
+    ks = np.array([len(engine._edges[j].qa) for j in engine.sub_edge])
+    assert set(ks.tolist()) == {2, 8} and np.any(ks[1:] != ks[:-1])
+    rng = np.random.default_rng(order)
+    v, h = rng.standard_normal((2, len(engine.basis)))
+    for theta in rng.uniform(-0.5, 0.5, size=(3, engine.ansatz.parameter_count)):
+        f, g = engine.cost_and_grad(theta, v, h)
+        f_ref, g_ref = reference_cost_and_grad(engine, theta, v, h)
+        assert f == f_ref and np.array_equal(g, g_ref)
+        f_reused, g_reused = engine.cost_and_grad(theta, v, h, forward=engine.conjugate(theta, v))
+        assert f_reused == f_ref and np.array_equal(g_reused, g_ref)
+        for side in ("kdag_e_k", "k_e_kdag"):
+            assert np.array_equal(engine.conjugate(theta, v, side), reference_conjugate(engine, theta, v, side))
+
+
+def test_engine_and_sweep_memory_stay_small():
+    # heisenberg n=4 order 4: 824 steps over 24 strings with 32 edges each
+    h, dla, _, ansatz, target = setup(HEIS, 4)
+    theta = points(HEIS, 4, 1)[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine = CompiledAdjoint(ansatz, dla.strings)
+        held = tracemalloc.get_traced_memory()[0] - before
+        v_vec, h_vec = engine.vector(target.element), engine.vector(h)
+        e = engine.conjugate(theta, v_vec)
+        tracemalloc.reset_peak()
+        inputs = tracemalloc.get_traced_memory()[0]
+        engine.cost_and_grad(theta, v_vec, h_vec, forward=e)
+        peak = tracemalloc.get_traced_memory()[1] - inputs
+    finally:
+        tracemalloc.stop()
+    assert held <= 512 * 1024
+    assert peak <= 256 * 1024
+
+
+def load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_every_engine_hook():
+    # perfbench's traced run wraps cost, cost_and_grad and conjugate and
+    # reads sub_edge for the step count; none of them may go missing
+    tracing = load_tracing()
+    h, dla, _, ansatz, target = setup(TFIM, 3)
+    theta = points(TFIM, 3, 1)[0]
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        engine = CompiledAdjoint(ansatz, dla.strings)
+        engine.cost_and_grad(theta, engine.vector(target.element), engine.vector(h))
+    finally:
+        tracer.restore()
+    assert tracer.absent == []
+    assert tracer.counts["adjoint.sweeps"] == 1
+    assert tracer.counts["adjoint.rotation_steps"] == len(ansatz.factors)
 
 
 def test_stale_forward_state_is_recomputed():
