@@ -108,7 +108,7 @@ class CompiledAdjoint:
         for j, (qa, qb, sgn) in enumerate(pairs):
             k = len(qa)
             self._sgn[j, :k] = sgn
-            ab = np.array([qa, qb], dtype=np.intp).reshape(2, k)
+            ab = np.array([qa, qb], dtype=np.intp)
             iab = np.stack([ab, ab + len(self.basis)], axis=1)
             self._edges.append(_Edges(ab[0], ab[1], self._sgn[j, :k], ab, iab, iab[1]))
         self.sub_edge = ansatz.string_ids

@@ -152,8 +152,8 @@ def test_benchmark_tracer_finds_every_engine_hook():
     h, dla, _, ansatz, target = setup(TFIM, 3)
     theta = points(TFIM, 3, 1)[0]
     tracer = tracing.Tracer()
-    tracing.install(tracer)
     try:
+        tracing.install(tracer)
         engine = CompiledAdjoint(ansatz, dla.strings)
         engine.cost_and_grad(theta, engine.vector(target.element), engine.vector(h))
     finally:
